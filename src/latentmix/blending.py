@@ -108,8 +108,15 @@ def reinit_tail_noise(
 
     Draw order is fixed: first the forward-diffusion noise for x_recent,
     then the fresh replacement noise.  cutoff 0 returns the fresh noise
-    untouched; the general path splits each channel's 2-d spectrum with an
-    ideal low-pass and recombines.
+    untouched.  The general path keeps each channel's low band from the
+    diffused frame and the rest from the fresh noise; since the split is
+    linear, that is
+
+        fresh + lowpass(diffused - fresh)
+
+    with one real 2-d transform pair: the low-pass mask is symmetric under
+    (u, v) -> (-u, -v), so the filtered spectrum stays Hermitian and the
+    half spectrum of rfft2 carries all of it.
     """
     x_recent = check_latent(x_recent, "x_recent")
     _, h, w = x_recent.shape
@@ -118,5 +125,7 @@ def reinit_tail_noise(
     fresh = rng.normal(x_recent.shape)
     if not mask.any():
         return fresh
-    spectrum = mask[None] * np.fft.fft2(diffused) + (1.0 - mask)[None] * np.fft.fft2(fresh)
-    return np.fft.ifft2(spectrum).real
+    diffused -= fresh
+    low = np.fft.irfft2(mask[:, : w // 2 + 1] * np.fft.rfft2(diffused), s=(h, w))
+    low += fresh
+    return low

@@ -1,7 +1,9 @@
 """Run configuration: strict JSON parsing with full-field validation.
 
 Unknown keys are rejected rather than ignored so a typo cannot silently
-fall back to a default.  dump_config(parse_config(x)) round-trips.
+fall back to a default.  The accepted keys and each value's type come from
+the dataclass fields below; only "lambda" (sampler.lam) is renamed.
+dump_config(parse_config(x)) round-trips.
 """
 
 from __future__ import annotations
@@ -61,17 +63,38 @@ class RunConfig:
     seed: int = 0
 
 
-# JSON key -> dataclass field, where they differ ("lambda" is reserved in Python)
-_SAMPLER_KEYS = {"eta": "eta", "beta": "beta", "lambda": "lam", "kappa0": "kappa0"}
+# dataclass field -> JSON key, where they differ ("lambda" is reserved in Python)
+_JSON_KEYS = {"lam": "lambda"}
+
+# annotation -> (accepts, description); bool is an int subclass but never a
+# valid count, seed or weight
+_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string path or null"),
+}
 
 
-def _take(section: dict, name: str, keys: dict[str, str], cls):
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    unknown = set(section) - set(keys)
+def _is_section(field: dataclasses.Field) -> bool:
+    # a section field's default factory is the section's own dataclass
+    return dataclasses.is_dataclass(field.default_factory)
+
+
+def _from_json(cls, obj: dict, where: str):
+    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {name!r}: {sorted(unknown)}")
-    return cls(**{field: section[key] for key, field in keys.items() if key in section})
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    kwargs = {}
+    for key, value in obj.items():
+        field = fields[key]
+        if _is_section(field):
+            if not isinstance(value, dict):
+                raise ConfigError(f"section {key!r} must be an object")
+            value = _from_json(field.default_factory, value, repr(key))
+        kwargs[field.name] = value
+    return cls(**kwargs)
 
 
 def parse_config(source: str | dict) -> RunConfig:
@@ -83,25 +106,7 @@ def parse_config(source: str | dict) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(source, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"schedule", "sampler", "injection", "queue", "io", "seed"}
-    unknown = set(source) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-
-    ident = lambda names: {n: n for n in names}
-    cfg = RunConfig(
-        schedule=_take(source.get("schedule", {}), "schedule", ident(["T", "beta_start", "beta_end", "kind"]), ScheduleConfig),
-        sampler=_take(source.get("sampler", {}), "sampler", _SAMPLER_KEYS, SamplerConfig),
-        injection=_take(
-            source.get("injection", {}),
-            "injection",
-            ident(["t_prime", "strength", "gamma_res", "tau", "cutoff"]),
-            InjectionConfig,
-        ),
-        queue=_take(source.get("queue", {}), "queue", ident(["length", "frames"]), QueueConfig),
-        io=_take(source.get("io", {}), "io", ident(["input", "cond", "output"]), IoConfig),
-        seed=source.get("seed", 0),
-    )
+    cfg = _from_json(RunConfig, source, "the config root")
     validate_config(cfg)
     return cfg
 
@@ -111,9 +116,23 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _check_types(obj, prefix: str = "") -> None:
+    """Check every field against its annotation, descending into sections."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        key = prefix + _JSON_KEYS.get(field.name, field.name)
+        if _is_section(field):
+            _require(isinstance(value, field.default_factory), f"{key} must be a {field.type}, got {value!r}")
+            _check_types(value, key + ".")
+        else:
+            accepts, what = _KINDS[field.type]
+            _require(accepts(value), f"{key} must be {what}, got {value!r}")
+
+
 def validate_config(cfg: RunConfig) -> RunConfig:
+    _check_types(cfg)
     s, sa, inj, q = cfg.schedule, cfg.sampler, cfg.injection, cfg.queue
-    _require(isinstance(s.T, int) and s.T >= 1, f"schedule.T must be a positive integer, got {s.T!r}")
+    _require(s.T >= 1, f"schedule.T must be a positive integer, got {s.T!r}")
     _require(
         0.0 < s.beta_start <= s.beta_end < 1.0,
         f"schedule betas must satisfy 0 < beta_start <= beta_end < 1, got ({s.beta_start}, {s.beta_end})",
@@ -123,36 +142,22 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     _require(0.0 <= sa.beta <= 1.0, f"sampler.beta must lie in [0, 1], got {sa.beta}")
     _require(sa.lam >= 0.0, f"sampler.lambda must be >= 0, got {sa.lam}")
     _require(sa.kappa0 >= 0.0, f"sampler.kappa0 must be >= 0, got {sa.kappa0}")
-    _require(
-        isinstance(inj.t_prime, int) and 0 < inj.t_prime < s.T,
-        f"injection.t_prime must be an integer in (0, {s.T}), got {inj.t_prime!r}",
-    )
+    _require(0 < inj.t_prime < s.T, f"injection.t_prime must be an integer in (0, {s.T}), got {inj.t_prime!r}")
     _require(inj.strength >= 0.0, f"injection.strength must be >= 0, got {inj.strength}")
     _require(inj.gamma_res >= 0.0, f"injection.gamma_res must be >= 0, got {inj.gamma_res}")
     _require(0.0 <= inj.tau <= 1.0, f"injection.tau must lie in [0, 1], got {inj.tau}")
     _require(0.0 <= inj.cutoff <= 0.5, f"injection.cutoff must lie in [0, 0.5], got {inj.cutoff}")
-    _require(isinstance(q.length, int) and q.length >= 1, f"queue.length must be a positive integer, got {q.length!r}")
+    _require(q.length >= 1, f"queue.length must be a positive integer, got {q.length!r}")
     _require(q.length <= s.T, f"queue.length ({q.length}) cannot exceed schedule.T ({s.T})")
-    _require(isinstance(q.frames, int) and q.frames >= 1, f"queue.frames must be a positive integer, got {q.frames!r}")
-    _require(isinstance(cfg.seed, int) and cfg.seed >= 0, f"seed must be a nonnegative integer, got {cfg.seed!r}")
-    for field in ("input", "cond", "output"):
-        v = getattr(cfg.io, field)
-        _require(v is None or isinstance(v, str), f"io.{field} must be a string path or null, got {v!r}")
+    _require(q.frames >= 1, f"queue.frames must be a positive integer, got {q.frames!r}")
+    _require(cfg.seed >= 0, f"seed must be a nonnegative integer, got {cfg.seed!r}")
     return cfg
 
 
-def dump_config(cfg: RunConfig) -> dict:
+def dump_config(cfg) -> dict:
     """Emit the JSON form; inverse of parse_config for valid configs."""
-    return {
-        "schedule": dataclasses.asdict(cfg.schedule),
-        "sampler": {
-            "eta": cfg.sampler.eta,
-            "beta": cfg.sampler.beta,
-            "lambda": cfg.sampler.lam,
-            "kappa0": cfg.sampler.kappa0,
-        },
-        "injection": dataclasses.asdict(cfg.injection),
-        "queue": dataclasses.asdict(cfg.queue),
-        "io": dataclasses.asdict(cfg.io),
-        "seed": cfg.seed,
-    }
+    out = {}
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        out[_JSON_KEYS.get(field.name, field.name)] = dump_config(value) if dataclasses.is_dataclass(value) else value
+    return out

@@ -22,12 +22,17 @@ DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """True when no element of x is inf or nan."""
+    return bool(np.isfinite(x).all())
+
+
 def check_latent(x, name: str = "latent") -> np.ndarray:
     """Coerce to a float64 (C, H, W) array and validate finiteness."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or min(x.shape) < 1:
         raise ParameterError(f"{name} must be a nonempty (C, H, W) array, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not all_finite(x):
         raise ParameterError(f"{name} contains non-finite values")
     return x
 
@@ -42,7 +47,7 @@ class LatentSequence:
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 4 or min(data.shape) < 1:
             raise ParameterError(f"sequence must be a nonempty (F, C, H, W) array, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
+        if not all_finite(data):
             raise ParameterError("sequence contains non-finite values")
         object.__setattr__(self, "data", data)
 

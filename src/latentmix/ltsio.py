@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .core import LatentSequence
+from .core import LatentSequence, all_finite
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
@@ -56,7 +56,11 @@ def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 4 or min(data.shape) < 1:
         raise ParameterError(f"LTS payload must be (F, C, H, W), got shape {data.shape}")
-    if not np.all(np.isfinite(data)):
+    # Check what is stored: a finite float64 beyond the float32 range would
+    # be written as inf, which read_lts rejects.
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(data, dtype="<f4")
+    if not all_finite(payload):
         raise ParameterError("LTS payload contains non-finite values")
     f, c, h, w = data.shape
     if flags & FLAG_MASK:
@@ -65,8 +69,7 @@ def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
         if not np.all((data == 0.0) | (data == 1.0)):
             raise ParameterError("mask payload values must be exactly 0.0 or 1.0")
     header = _HEADER.pack(MAGIC, f, c, h, w, flags)
-    payload = np.ascontiguousarray(data, dtype="<f4").tobytes()
-    atomic_write_bytes(path, header + payload)
+    atomic_write_bytes(path, header + payload.tobytes())
 
 
 def read_lts(path) -> tuple[np.ndarray, int]:
@@ -85,7 +88,7 @@ def read_lts(path) -> tuple[np.ndarray, int]:
         raise FormatError(f"{path}: payload size {len(raw) - _HEADER.size} does not match header")
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
     data = data.reshape(f, c, h, w)
-    if not np.all(np.isfinite(data)):
+    if not all_finite(data):
         raise FormatError(f"{path}: payload contains non-finite values")
     if flags & FLAG_MASK:
         if c != 1:

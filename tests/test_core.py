@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from latentmix.core import (
     LatentSequence,
     RandomSource,
+    all_finite,
     check_latent,
     forward_diffuse,
     make_schedule,
@@ -152,6 +153,52 @@ class TestForwardDiffuse:
             forward_diffuse(x0, -1, desk_schedule, RandomSource(0))
         with pytest.raises(ParameterError):
             forward_diffuse(x0, desk_schedule.T + 1, desk_schedule, RandomSource(0))
+
+
+class TestAllFinite:
+    def test_finite_arrays(self):
+        assert all_finite(np.zeros((2, 3, 4)))
+        assert all_finite(np.zeros(0))
+        assert all_finite(np.arange(12).reshape(3, 4))
+        # finite even though the sum overflows
+        assert all_finite(np.full((4, 8, 8), 1e308))
+        assert all_finite(np.full((4, 8, 8), -1e308))
+        assert all_finite(np.full((3, 5), np.finfo(np.float32).max, dtype=np.float32))
+
+    def test_non_finite_arrays(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            x = np.zeros((4, 8, 8))
+            x[3, 2, 1] = bad
+            assert not all_finite(x)
+            assert not all_finite(x.astype(np.float32))
+        pair = np.zeros((4, 8, 8))
+        pair[0, 0, 0], pair[1, 1, 1] = np.inf, -np.inf  # sums to nan
+        assert not all_finite(pair)
+        overflow_and_nan = np.full((4, 8, 8), 1e308)
+        overflow_and_nan[2, 2, 2] = np.nan
+        assert not all_finite(overflow_and_nan)
+
+    def test_non_contiguous(self):
+        x = np.zeros((4, 8, 8))
+        x[1, 2, 5] = np.nan
+        assert not all_finite(x[:, ::2, 1::2])
+        assert all_finite(x[:, ::2, ::2])
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "pair"])
+    def test_sequence_keeps_its_message(self, bad):
+        x = np.zeros((1, 2, 3, 4))
+        if bad == "inf":
+            x[0, 1, 1, 1] = np.inf
+        elif bad == "nan":
+            x[0, 0, 2, 3] = np.nan
+        else:
+            x[0, 0, 0, 0], x[0, 1, 2, 3] = np.inf, -np.inf
+        with pytest.raises(ParameterError, match="^sequence contains non-finite values$"):
+            LatentSequence(x)
+
+    def test_sequence_accepts_overflowing_sums(self):
+        big = np.full((4, 8, 8), 1e308)
+        assert len(LatentSequence(np.stack([big, -big]))) == 2
 
 
 class TestContainers:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latentmix.core import LatentSequence, RandomSource
 from latentmix.errors import FormatError, ParameterError
@@ -100,6 +102,39 @@ def test_bad_magic_and_truncation(tmp_path):
 def test_write_rejects_non_finite(tmp_path):
     with pytest.raises(ParameterError):
         write_lts(tmp_path / "nan.lts", np.full((1, 1, 2, 2), np.nan))
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_write_rejects_values_beyond_float32(tmp_path, value):
+    # finite in float64 but inf once stored; nothing may reach the disk
+    data = np.zeros((1, 1, 2, 2))
+    data[0, 0, 1, 0] = value
+    path = tmp_path / "big.lts"
+    with pytest.raises(ParameterError, match="non-finite"):
+        write_lts(path, data)
+    assert not path.exists()
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(min_value=-F32_MAX, max_value=F32_MAX, allow_nan=False) | st.sampled_from([F32_MAX, -F32_MAX]),
+        min_size=1,
+        max_size=24,
+    )
+)
+def test_accepted_payload_reads_back(tmp_path_factory, values):
+    # every float32-range array the writer takes is one the reader takes,
+    # including sums that overflow float32
+    data = np.array(values, dtype=np.float64).reshape(len(values), 1, 1, 1)
+    path = tmp_path_factory.mktemp("lts") / "seq.lts"
+    write_lts(path, data)
+    back, flags = read_lts(path)
+    assert flags == 0
+    assert np.array_equal(back, data.astype(np.float32).astype(np.float64))
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

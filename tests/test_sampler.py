@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentmix.core import RandomSource, make_schedule
+from latentmix.core import RandomSource, check_latent, make_schedule
 from latentmix.errors import ParameterError, SingularScheduleError
 from latentmix.sampler import (
     MomentumState,
@@ -316,3 +317,170 @@ class TestInversion:
         den = oracle_denoiser(OracleSpec(x0_star=x0_star), desk_schedule)
         out = ddim_sample(RandomSource(20).normal(DESK_SHAPE), den, desk_schedule)
         assert np.max(np.abs(out - x0_star)) < 1e-5
+
+
+def reference_step(x, t, t_prev, eps, s, eta, z, state=None):
+    """One step from the raw formulas of the module docstring, with the
+    provisional DDIM emission materialised as in the paper's description."""
+    ab_t, ab_p = s.alpha_bar[t], s.alpha_bar[t_prev]
+    sigma = 0.0
+    if eta > 0.0:
+        sigma = eta * np.sqrt((1 - ab_p) / (1 - ab_t)) * np.sqrt(1 - ab_t / ab_p)
+    x0 = (x - np.sqrt(1 - ab_t) * eps) / np.sqrt(ab_t)
+    d = np.sqrt(max(1 - ab_p - sigma**2, 0.0)) * eps
+    noise = sigma * z if sigma > 0.0 else 0.0
+    x_prev = np.sqrt(ab_p) * x0 + d + noise
+    if state is None:
+        return x_prev, x0, d, None
+    g = x - x_prev + state.lam * d
+    v1 = state.beta * state.v + (1 - state.beta) * g
+    x0_corr = x0 + state.kappa0 * (1 - t / state.T) * v1
+    return np.sqrt(ab_p) * x0_corr + d + noise, x0_corr, d, v1
+
+
+STEP_PAIRS = [(64, 63), (64, 60), (41, 17), (16, 15), (9, 1), (5, 0)]
+
+
+class TestLinearMap:
+    """The coefficient form re-associates the arithmetic; it must stay
+    within 1e-12 of the raw formulas at unit scale."""
+
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("t,t_prev", STEP_PAIRS)
+    def test_ddim_step_matches_reference(self, desk_schedule, eta, t, t_prev):
+        den = MixDenoiser(seed=t)
+        x = RandomSource(60 + t).normal(DESK_SHAPE)
+        out = ddim_step(x, t, den, desk_schedule, eta=eta, rng=RandomSource(61), t_prev=t_prev)
+        z = RandomSource(61).normal(DESK_SHAPE)
+        x_prev, x0, d, _ = reference_step(x, t, t_prev, den.predict_eps(x, t), desk_schedule, eta, z)
+        assert np.max(np.abs(out.x_prev - x_prev)) < self.TOL
+        assert np.max(np.abs(out.x0_hat - x0)) < self.TOL
+        assert np.max(np.abs(out.dir - d)) < self.TOL
+        assert out.kappa_used == 0.0
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kappa0", [0.0, 2.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("t,t_prev", STEP_PAIRS)
+    def test_momentum_step_matches_reference(self, desk_schedule, eta, kappa0, lam, t, t_prev):
+        # with eta > 0 the scaled noise enters v' through the drift
+        den = MixDenoiser(seed=t)
+        x = RandomSource(70 + t).normal(DESK_SHAPE)
+        state = MomentumState(
+            v=RandomSource(71).normal(DESK_SHAPE), beta=0.9, lam=lam, kappa0=kappa0, T=desk_schedule.T
+        )
+        out, new_state = momentum_step(x, t, den, desk_schedule, state, eta=eta, rng=RandomSource(72), t_prev=t_prev)
+        z = RandomSource(72).normal(DESK_SHAPE)
+        x_prev, x0, d, v1 = reference_step(x, t, t_prev, den.predict_eps(x, t), desk_schedule, eta, z, state)
+        assert np.max(np.abs(out.x_prev - x_prev)) < self.TOL
+        assert np.max(np.abs(out.x0_hat - x0)) < self.TOL
+        assert np.max(np.abs(out.dir - d)) < self.TOL
+        assert np.max(np.abs(new_state.v - v1)) < self.TOL
+        assert out.kappa_used == kappa0 * (1 - t / desk_schedule.T)
+        assert (new_state.beta, new_state.lam, new_state.kappa0, new_state.T) == (0.9, lam, kappa0, desk_schedule.T)
+
+    def test_kappa_zero_emits_ddim_exactly(self, desk_schedule):
+        den = MixDenoiser(seed=4)
+        x = RandomSource(73).normal(DESK_SHAPE)
+        dirty = MomentumState(v=RandomSource(74).normal(DESK_SHAPE), beta=0.5, lam=0.7, kappa0=0.0, T=desk_schedule.T)
+        for t, t_prev in STEP_PAIRS:
+            out_m, _ = momentum_step(x, t, den, desk_schedule, dirty, eta=0.5, rng=RandomSource(75), t_prev=t_prev)
+            out_d = ddim_step(x, t, den, desk_schedule, eta=0.5, rng=RandomSource(75), t_prev=t_prev)
+            assert np.array_equal(out_m.x_prev, out_d.x_prev)
+            assert np.array_equal(out_m.x0_hat, out_d.x0_hat)
+
+    def test_state_is_not_written(self, desk_schedule):
+        v0 = RandomSource(76).normal(DESK_SHAPE)
+        state = MomentumState(v=v0.copy(), beta=0.9, lam=1.0, kappa0=2.0, T=desk_schedule.T)
+        x = RandomSource(77).normal(DESK_SHAPE)
+        _, new_state = momentum_step(x, 30, MixDenoiser(), desk_schedule, state)
+        assert np.array_equal(state.v, v0)
+        assert type(new_state) is MomentumState
+        assert [f.name for f in dataclasses.fields(new_state)] == ["v", "beta", "lam", "kappa0", "T"]
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_ddim_sample_matches_step_loop(self, desk_schedule, eta):
+        # the sweep folds the emission into two coefficients; it must track
+        # a loop of full ddim_step calls drawing the same noise
+        den = MixDenoiser(seed=6)
+        x_T = RandomSource(82).normal(DESK_SHAPE)
+        out = ddim_sample(x_T, den, desk_schedule, steps=16, eta=eta, rng=RandomSource(83))
+        grid = step_grid(desk_schedule.T, 16)
+        rng, x = RandomSource(83), x_T
+        for k in range(16, 0, -1):
+            x = ddim_step(x, int(grid[k]), den, desk_schedule, eta=eta, rng=rng, t_prev=int(grid[k - 1])).x_prev
+        assert np.max(np.abs(out - x)) < self.TOL
+
+    @pytest.mark.parametrize("steps", [1, 7, 64])
+    def test_ddim_invert_matches_reference(self, desk_schedule, steps):
+        den = MixDenoiser(seed=5)
+        x0 = RandomSource(79).normal(DESK_SHAPE)
+        traj = ddim_invert(x0, den, desk_schedule, steps)
+        grid = step_grid(desk_schedule.T, steps)
+        ab = desk_schedule.alpha_bar
+        x = x0
+        for k in range(steps):
+            t_src, t_dst = int(grid[k]), int(grid[k + 1])
+            eps = den.predict_eps(x, t_dst)
+            x0_hat = (x - np.sqrt(1 - ab[t_src]) * eps) / np.sqrt(ab[t_src])
+            x = np.sqrt(ab[t_dst]) * x0_hat + np.sqrt(1 - ab[t_dst]) * eps
+            assert np.max(np.abs(traj.frame(k + 1) - x)) < self.TOL
+
+
+class TestFiniteness:
+    """Finiteness checks accept every finite array, including ones whose
+    sum overflows, and reject inf, nan and a +inf/-inf pair with the same
+    messages as before."""
+
+    def test_overflowing_sum_accepted(self, desk_schedule):
+        big = np.full(DESK_SHAPE, 1e308)  # sum is 2.56e310
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(big.sum())
+        assert check_latent(big) is not None
+
+        class Echo:
+            def predict_eps(self, x_t, t):
+                return x_t
+
+        state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T)
+        out, new_state = momentum_step(big, 1, Echo(), desk_schedule, state, t_prev=0)
+        assert np.all(np.isfinite(out.x_prev))
+        assert np.all(np.isfinite(new_state.v))
+        out = ddim_step(np.full(DESK_SHAPE, 1e308), 1, ZeroDenoiser(), desk_schedule, t_prev=0)
+        assert np.all(np.isfinite(out.x_prev))
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "pair"])
+    def test_non_finite_latent_rejected(self, desk_schedule, bad):
+        x = RandomSource(80).normal(DESK_SHAPE)
+        poison(x, bad)
+        with pytest.raises(ParameterError, match="^x_t contains non-finite values$"):
+            momentum_step(x, 5, ZeroDenoiser(), desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T))
+        with pytest.raises(ParameterError, match="^x_t contains non-finite values$"):
+            ddim_step(x, 5, ZeroDenoiser(), desk_schedule)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "pair"])
+    def test_non_finite_denoiser_output_rejected(self, desk_schedule, bad):
+        class Poisoned:
+            def predict_eps(self, x_t, t):
+                eps = np.zeros_like(x_t)
+                poison(eps, bad)
+                return eps
+
+        x = RandomSource(81).normal(DESK_SHAPE)
+        with pytest.raises(ParameterError, match="^denoiser produced non-finite values$"):
+            momentum_step(x, 5, Poisoned(), desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T))
+        with pytest.raises(ParameterError, match="^denoiser produced non-finite values$"):
+            ddim_invert(x, Poisoned(), desk_schedule, 4)
+
+
+def poison(x, bad):
+    """Put one inf, one nan, or a +inf/-inf pair (whose sum is nan) into x."""
+    if bad == "inf":
+        x[1, 2, 3] = np.inf
+    elif bad == "nan":
+        x[0, 0, 0] = np.nan
+    else:
+        x[2, 5, 1] = np.inf
+        x[3, 7, 7] = -np.inf

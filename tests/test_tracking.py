@@ -195,18 +195,34 @@ class TestTrackMasks:
         with pytest.raises(ParameterError):
             track_masks(seq, ThresholdSegmenter(0.5), tau=1.5)
 
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
-    def test_accepts_monotone_in_tau(self, seed, data):
-        # raising tau can only turn accepts into retains
-        rng = RandomSource(seed)
-        frames = [square_mask(6, int(3 * u), int(3 * v), 2) for u, v in rng.uniform((5, 2))]
-        seq = scene_from_masks(frames)
+    @settings(max_examples=60, deadline=None)
+    @given(prev=masks_strategy, cand=masks_strategy, data=st.data())
+    def test_accepts_monotone_in_tau(self, prev, cand, data):
+        # one link decision against a fixed previous mask: raising tau can
+        # only turn an accept into a retain
         t1 = data.draw(st.floats(min_value=0.0, max_value=1.0))
         t2 = data.draw(st.floats(min_value=t1, max_value=1.0))
-        lo = track_masks(seq, ThresholdSegmenter(0.5), tau=t1)
-        hi = track_masks(seq, ThresholdSegmenter(0.5), tau=t2)
-        assert sum(hi.linked) <= sum(lo.linked)
+        decisions = []
+        for tau in (t1, t2):
+            tracker = OverlapTracker(lambda m: m, tau)
+            tracker.update(prev)
+            decisions.append(tracker.update(cand)[1])
+        lo, hi = decisions
+        assert lo or not hi
+
+    def test_sequence_link_count_not_monotone_in_tau(self):
+        # A retained mask becomes the next frame's reference, so over a
+        # sequence a higher tau can link more frames.  At tau 0 frame 2
+        # links (IoU 1/7 with frame 1) and frames 3 and 4 share no pixel
+        # with it; at tau 0.25 frame 2 keeps frame 1's mask, which frame 3
+        # overlaps with IoU 1/3, and frame 4 repeats frame 3.
+        rng = RandomSource(85)
+        frames = [square_mask(6, int(3 * u), int(3 * v), 2) for u, v in rng.uniform((5, 2))]
+        seq = scene_from_masks(frames)
+        lo = track_masks(seq, ThresholdSegmenter(0.5), tau=0.0)
+        hi = track_masks(seq, ThresholdSegmenter(0.5), tau=0.25)
+        assert lo.linked == (True, True, True, False, False)
+        assert hi.linked == (True, True, False, True, True)
 
 
 class TestMaskTrack:
