@@ -21,23 +21,17 @@ from .errors import ParameterError
 @dataclasses.dataclass(frozen=True)
 class BlendParams:
     """Conditioning strength; the in-mask interpolation weight is
-    min(1, strength / 2) so the default strength 2.0 is pure replacement.
-
-    weight_override pins the weight directly (tests, ablations)."""
+    min(1, strength / 2), so the default strength 2.0 is pure replacement
+    and strength 2w pins the weight to any w in [0, 1]."""
 
     strength: float = 2.0
-    weight_override: float | None = None
 
     def __post_init__(self):
         if self.strength < 0.0:
             raise ParameterError(f"strength must be >= 0, got {self.strength}")
-        if self.weight_override is not None and not (0.0 <= self.weight_override <= 1.0):
-            raise ParameterError(f"weight_override must lie in [0, 1], got {self.weight_override}")
 
     @property
     def weight(self) -> float:
-        if self.weight_override is not None:
-            return self.weight_override
         return min(1.0, self.strength / 2.0)
 
 
@@ -56,7 +50,8 @@ def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendP
     """Interpolate conditioned content into the masked region.
 
     Outside the mask the input passes through bit-identically; inside, the
-    output is (1-w) * x_t + w * x_cond_t with w = p.weight.
+    output is (1-w) * x_t + w * x_cond_t with w = p.weight, so w = 1 gives
+    x_cond_t and w = 0 gives x_t (up to the sign of zero).
     """
     x_t = check_latent(x_t, "x_t")
     x_cond_t = check_latent(x_cond_t, "x_cond_t")
@@ -65,12 +60,8 @@ def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendP
     m = np.asarray(m)
     if m.shape != x_t.shape[1:]:
         raise ParameterError(f"mask shape {m.shape} does not match latent grid {x_t.shape[1:]}")
-    m = m.astype(bool)
     w = p.weight
-    if w == 0.0:
-        return x_t.copy()
-    inner = x_cond_t if w == 1.0 else (1.0 - w) * x_t + w * x_cond_t
-    return np.where(m[None], inner, x_t)
+    return np.where(m.astype(bool)[None], (1.0 - w) * x_t + w * x_cond_t, x_t)
 
 
 def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> np.ndarray:
@@ -107,24 +98,22 @@ def reinit_tail_noise(
     """Terminal-level noise that carries the recent frame's low frequencies.
 
     Draw order is fixed: first the forward-diffusion noise for x_recent,
-    then the fresh replacement noise.  cutoff 0 returns the fresh noise
-    untouched.  The general path keeps each channel's low band from the
-    diffused frame and the rest from the fresh noise; since the split is
+    then the fresh replacement noise.  Each channel keeps its low band from
+    the diffused frame and the rest from the fresh noise; since the split is
     linear, that is
 
         fresh + lowpass(diffused - fresh)
 
     with one real 2-d transform pair: the low-pass mask is symmetric under
     (u, v) -> (-u, -v), so the filtered spectrum stays Hermitian and the
-    half spectrum of rfft2 carries all of it.
+    half spectrum of rfft2 carries all of it.  cutoff 0 keeps no band, so
+    the result is fresh + 0.
     """
     x_recent = check_latent(x_recent, "x_recent")
     _, h, w = x_recent.shape
     mask = lowpass_mask(h, w, cutoff)
     diffused = forward_diffuse(x_recent, s.T, s, rng)
     fresh = rng.normal(x_recent.shape)
-    if not mask.any():
-        return fresh
     diffused -= fresh
     low = np.fft.irfft2(mask[:, : w // 2 + 1] * np.fft.rfft2(diffused), s=(h, w))
     low += fresh

@@ -47,19 +47,11 @@ class QueueConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class IoConfig:
-    input: str | None = None
-    cond: str | None = None
-    output: str | None = None
-
-
-@dataclasses.dataclass(frozen=True)
 class RunConfig:
     schedule: ScheduleConfig = dataclasses.field(default_factory=ScheduleConfig)
     sampler: SamplerConfig = dataclasses.field(default_factory=SamplerConfig)
     injection: InjectionConfig = dataclasses.field(default_factory=InjectionConfig)
     queue: QueueConfig = dataclasses.field(default_factory=QueueConfig)
-    io: IoConfig = dataclasses.field(default_factory=IoConfig)
     seed: int = 0
 
 
@@ -72,7 +64,6 @@ _KINDS = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
     "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string path or null"),
 }
 
 

@@ -54,16 +54,8 @@ class LatentSequence:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def frame_shape(self) -> tuple[int, int, int]:
-        return self.data.shape[1:]
-
     def frame(self, i: int) -> np.ndarray:
         return self.data[i]
-
-    @classmethod
-    def from_frames(cls, frames) -> "LatentSequence":
-        return cls(np.stack([check_latent(f) for f in frames]))
 
 
 @dataclasses.dataclass(frozen=True)

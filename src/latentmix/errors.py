@@ -1,8 +1,7 @@
 """Error taxonomy shared across the package.
 
-The CLI maps these onto process exit codes; library callers can catch the
-base classes (ValueError / RuntimeError / ArithmeticError) without importing
-this module.
+Library callers can catch the base classes (ValueError / RuntimeError /
+ArithmeticError) without importing this module.
 """
 
 

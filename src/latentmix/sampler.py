@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, check
 from .errors import NumericError, ParameterError, SingularScheduleError
 
 
-@runtime_checkable
 class Denoiser(Protocol):
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray: ...
 
@@ -191,8 +190,9 @@ def _linear_step(
 def _step(x_t, t, denoiser, s, eta, rng, t_prev, state, x_prev_only=False):
     """Validate, query the denoiser once and apply the linear map; the
     velocity terms take part only when a momentum state is given.  Returns
-    x_prev, x0_hat, dir, v' and kappa."""
-    x_t = check_latent(x_t, "x_t")
+    x_prev, x0_hat, dir, v' and kappa.  x_t must already be a checked
+    latent: the public steps check it on entry, ddim_sample checks each
+    hop's output."""
     if not (1 <= t <= s.T):
         raise ParameterError(f"step source t must lie in [1, {s.T}], got {t}")
     if t_prev is None:
@@ -231,6 +231,7 @@ def ddim_step(
     t_prev: int | None = None,
 ) -> StepOutput:
     """One vanilla reverse step from t to t_prev (default t-1)."""
+    x_t = check_latent(x_t, "x_t")
     x_prev, x0_hat, direction, _, _ = _step(x_t, t, denoiser, s, eta, rng, t_prev, None)
     return StepOutput(x_prev=x_prev, x0_hat=x0_hat, dir=direction, kappa_used=0.0)
 
@@ -254,6 +255,7 @@ def momentum_step(
     the linear map in the module docstring.  state is not modified; the
     updated velocity comes back in a new MomentumState.
     """
+    x_t = check_latent(x_t, "x_t")
     x_prev, x0_hat, direction, v, kappa = _step(x_t, t, denoiser, s, eta, rng, t_prev, state)
     out = StepOutput(x_prev=x_prev, x0_hat=x0_hat, dir=direction, kappa_used=kappa)
     return out, MomentumState(v=v, beta=state.beta, lam=state.lam, kappa0=state.kappa0, T=state.T)
@@ -300,9 +302,15 @@ def ddim_sample(
     eta: float = 0.0,
     rng: RandomSource | None = None,
 ) -> np.ndarray:
-    """Full reverse sweep down a uniform sub-grid (default: every level)."""
+    """Full reverse sweep down a uniform sub-grid (default: every level).
+
+    x_T is checked on entry and every hop's output after it, so a blow-up
+    raises NumericError naming the hop instead of returning inf or nan."""
     x = check_latent(x_T, "x_T")
     grid = step_grid(s.T, steps if steps is not None else s.T)
     for k in range(len(grid) - 1, 0, -1):
-        x = _step(x, int(grid[k]), denoiser, s, eta, rng, int(grid[k - 1]), None, x_prev_only=True)[0]
+        t, t_prev = int(grid[k]), int(grid[k - 1])
+        x = _step(x, t, denoiser, s, eta, rng, t_prev, None, x_prev_only=True)[0]
+        if not all_finite(x):
+            raise NumericError(f"ddim_sample produced non-finite values in the hop {t} -> {t_prev}")
     return x

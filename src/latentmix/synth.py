@@ -34,11 +34,22 @@ class OracleSpec:
 
 
 class _Oracle:
-    """predict_eps(x, t) = (x - sqrt(ab_t) x0*) / sqrt(1 - ab_t)."""
+    """predict_eps(x, t) = (x - sqrt(ab_t) x0*) / sqrt(1 - ab_t), with x0*
+    frame `index` of a bank of targets (F, C, H, W).
 
-    def __init__(self, x0_star: np.ndarray, s: NoiseSchedule):
-        self.x0_star = x0_star
+    for_frame(k) selects frame k; indices past the end clamp to the last
+    target so open-ended generation keeps a defined pull.
+    """
+
+    def __init__(self, frames: np.ndarray, s: NoiseSchedule, index: int = 0):
+        self.frames = frames
         self.s = s
+        self.x0_star = frames[index]
+
+    def for_frame(self, k: int) -> "_Oracle":
+        if k < 0:
+            raise ParameterError(f"frame index must be >= 0, got {k}")
+        return _Oracle(self.frames, self.s, min(k, len(self.frames) - 1))
 
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
         if not (0 <= t <= self.s.T):
@@ -49,28 +60,11 @@ class _Oracle:
         return (x_t - np.sqrt(ab) * self.x0_star) / np.sqrt(1.0 - ab)
 
 
-class _SequenceOracle(_Oracle):
-    """Frame-indexed oracle bank; defaults to frame 0, for_frame(k) selects.
-
-    Frame indices past the end clamp to the last target so open-ended
-    generation keeps a defined pull.
-    """
-
-    def __init__(self, frames: np.ndarray, s: NoiseSchedule):
-        super().__init__(frames[0], s)
-        self.frames = frames
-
-    def for_frame(self, k: int) -> _Oracle:
-        if k < 0:
-            raise ParameterError(f"frame index must be >= 0, got {k}")
-        return _Oracle(self.frames[min(k, len(self.frames) - 1)], self.s)
-
-
-def oracle_denoiser(spec: OracleSpec, s: NoiseSchedule):
-    """Build the analytic denoiser for a known target."""
-    if spec.x0_star is not None:
-        return _Oracle(spec.x0_star, s)
-    return _SequenceOracle(spec.frames, s)
+def oracle_denoiser(spec: OracleSpec, s: NoiseSchedule) -> _Oracle:
+    """Build the analytic denoiser for a known target; a single x0_star is
+    a bank of one frame."""
+    frames = spec.frames if spec.x0_star is None else spec.x0_star[None]
+    return _Oracle(frames, s)
 
 
 def moving_square_scene(

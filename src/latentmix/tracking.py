@@ -9,16 +9,15 @@ so one bad segmentation cannot yank the region across the scene.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy import ndimage
 
-from .core import LatentSequence
+from .core import LatentSequence, check_latent
 from .errors import ParameterError
 
 
-@runtime_checkable
 class Segmenter(Protocol):
     def segment(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -72,9 +71,7 @@ def iou(a: np.ndarray, b: np.ndarray) -> float:
 def threshold_segment(x: np.ndarray, theta: float, largest_component: bool = False) -> np.ndarray:
     """Mean absolute channel value above theta, optionally pruned to the
     largest 4-connected component."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ParameterError(f"expected a (C, H, W) latent, got shape {x.shape}")
+    x = check_latent(x, "x")
     if theta < 0.0:
         raise ParameterError(f"theta must be >= 0, got {theta}")
     mask = np.mean(np.abs(x), axis=0) > theta
@@ -129,15 +126,12 @@ class OverlapTracker:
         self.linked.append(accepted)
         return m, accepted
 
-    def as_track(self, count: int | None = None) -> MaskTrack:
+    def as_track(self) -> MaskTrack:
         if not self.masks:
             raise ParameterError("tracker has not seen any frames")
-        n = len(self.masks) if count is None else count
-        if not (1 <= n <= len(self.masks)):
-            raise ParameterError(f"cannot export {n} of {len(self.masks)} tracked frames")
         return MaskTrack(
-            masks=np.stack(self.masks[:n]),
-            linked=tuple(self.linked[:n]),
+            masks=np.stack(self.masks),
+            linked=tuple(self.linked),
             tau=self.tau,
             degenerate=self.degenerate,
         )

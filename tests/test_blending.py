@@ -29,13 +29,11 @@ class TestBlendParams:
         assert BlendParams(strength=1.0).weight == 0.5
         assert BlendParams(strength=5.0).weight == 1.0
         assert BlendParams(strength=0.0).weight == 0.0
-        assert BlendParams(strength=2.0, weight_override=0.25).weight == 0.25
+        assert BlendParams(strength=0.5).weight == 0.25
 
     def test_validation(self):
         with pytest.raises(ParameterError):
             BlendParams(strength=-1.0)
-        with pytest.raises(ParameterError):
-            BlendParams(weight_override=1.5)
         with pytest.raises(ParameterError):
             ResidualParams(gamma=-0.1)
 
@@ -84,12 +82,13 @@ class TestBlendRegion:
         assert np.array_equal(out, x)
 
     @settings(max_examples=40, deadline=None)
-    @given(w=st.floats(min_value=0.0, max_value=1.0))
-    def test_linear_in_weight(self, w):
+    @given(strength=st.floats(min_value=0.0, max_value=2.0))
+    def test_linear_in_weight(self, strength):
         x = RandomSource(10).normal((2, 4, 4))
         cond = RandomSource(11).normal((2, 4, 4))
         m = square_mask(4, 1, 1, 2)
-        out = blend_region(x, cond, m, BlendParams(weight_override=w))
+        out = blend_region(x, cond, m, BlendParams(strength=strength))
+        w = strength / 2
         expect = np.where(m[None], (1 - w) * x + w * cond, x)
         assert np.max(np.abs(out - expect)) < 1e-12
 

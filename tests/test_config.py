@@ -58,6 +58,8 @@ class TestParse:
             parse_config({"sedd": 1})
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"queue": {"lenght": 4}})
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config({"io": {"output": "out.lts"}})
 
     def test_structure(self):
         with pytest.raises(ConfigError):
@@ -91,9 +93,6 @@ class TestParse:
             parse_config({"schedule": {"kind": 3}})
         with pytest.raises(ConfigError):
             parse_config({"schedule": {"kind": "cosine"}})
-        with pytest.raises(ConfigError):
-            parse_config({"io": {"output": 7}})
-        assert parse_config({"io": {"output": "out.lts"}}).io.output == "out.lts"
 
     def test_ranges(self):
         for bad in (
@@ -129,7 +128,7 @@ class TestValidate:
 
 
 valid_configs = st.builds(
-    lambda T, frac, betas, eta, beta, lam, kappa0, strength, gamma, tau, cutoff, frames, seed, kind, out: {
+    lambda T, frac, betas, eta, beta, lam, kappa0, strength, gamma, tau, cutoff, frames, seed, kind: {
         "schedule": {"T": T, "beta_start": betas[0], "beta_end": betas[1], "kind": kind},
         "sampler": {"eta": eta, "beta": beta, "lambda": lam, "kappa0": kappa0},
         "injection": {
@@ -140,7 +139,6 @@ valid_configs = st.builds(
             "cutoff": cutoff,
         },
         "queue": {"length": max(1, int(frac * T)), "frames": frames},
-        "io": {"input": None, "cond": "cond.lts", "output": out},
         "seed": seed,
     },
     T=st.integers(min_value=2, max_value=5000),
@@ -157,7 +155,6 @@ valid_configs = st.builds(
     frames=st.integers(min_value=1, max_value=64),
     seed=st.integers(min_value=0, max_value=2**63),
     kind=st.sampled_from(["linear", "scaled_linear"]),
-    out=st.none() | st.text(max_size=12),
 )
 
 

@@ -215,7 +215,6 @@ class TestContainers:
             LatentSequence(np.zeros((2, 3)))
         with pytest.raises(ParameterError):
             LatentSequence(np.full((1, 1, 2, 2), np.inf))
-        seq = LatentSequence.from_frames([np.zeros((2, 4, 4)), np.ones((2, 4, 4))])
+        seq = LatentSequence(np.stack([np.zeros((2, 4, 4)), np.ones((2, 4, 4))]))
         assert len(seq) == 2
-        assert seq.frame_shape == (2, 4, 4)
         assert seq.frame(1)[0, 0, 0] == 1.0

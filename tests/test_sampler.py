@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentmix.core import RandomSource, check_latent, make_schedule
-from latentmix.errors import ParameterError, SingularScheduleError
+from latentmix.errors import NumericError, ParameterError, SingularScheduleError
 from latentmix.sampler import (
     MomentumState,
     ddim_invert,
@@ -473,6 +473,15 @@ class TestFiniteness:
             momentum_step(x, 5, Poisoned(), desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T))
         with pytest.raises(ParameterError, match="^denoiser produced non-finite values$"):
             ddim_invert(x, Poisoned(), desk_schedule, 4)
+
+    @pytest.mark.parametrize("steps, hop", [(1, "64 -> 0"), (4, "48 -> 32")])
+    def test_ddim_sample_overflow_names_its_hop(self, desk_schedule, steps, hop):
+        # with a zero eps each hop scales x by sqrt(ab_prev / ab_t), so the
+        # sweep overflows; neither the last hop nor a middle one may hide it
+        x_T = np.full(DESK_SHAPE, 1e307)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=f"^ddim_sample produced non-finite values in the hop {hop}$"):
+                ddim_sample(x_T, ZeroDenoiser(), desk_schedule, steps=steps)
 
 
 def poison(x, bad):

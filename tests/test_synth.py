@@ -26,6 +26,8 @@ class TestOracle:
             ab = desk_schedule.alpha_bar[t]
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
             assert np.max(np.abs(den.predict_eps(x_t, t) - eps)) < 1e-9
+        # a single target is a bank of one, so every frame index selects it
+        assert np.array_equal(den.for_frame(7).x0_star, x0)
 
     def test_predict_x0_is_exact(self, desk_schedule):
         x0 = RandomSource(2).normal(DESK_SHAPE)

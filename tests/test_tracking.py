@@ -125,6 +125,15 @@ class TestThresholdSegment:
         with pytest.raises(ParameterError):
             threshold_segment(np.zeros((1, 4, 4)), -0.1)
 
+    @pytest.mark.parametrize("bad", [[np.inf], [np.nan], [np.inf, -np.inf]])
+    def test_non_finite_rejected(self, bad):
+        # a non-finite pixel inside the square must not just shrink the mask
+        x = np.zeros((1, 8, 8))
+        x[0, 2:5, 2:5] = 1.0
+        x[0, 3, 3 : 3 + len(bad)] = bad
+        with pytest.raises(ParameterError, match="^x contains non-finite values$"):
+            threshold_segment(x, 0.5)
+
 
 def scene_from_masks(masks, value=1.0, channels=2):
     frames = np.zeros((len(masks), channels, *masks[0].shape))
@@ -232,10 +241,11 @@ class TestMaskTrack:
         with pytest.raises(ParameterError):
             MaskTrack(masks=np.zeros((4, 4), dtype=bool), linked=(True,), tau=0.5)
 
-    def test_tracker_export_prefix(self):
+    def test_tracker_export(self):
         tracker = OverlapTracker(ThresholdSegmenter(0.5), tau=0.5)
+        with pytest.raises(ParameterError):
+            tracker.as_track()
         for _ in range(4):
             tracker.update(scene_from_masks([square_mask(4, 0, 0, 2)]).frame(0))
-        assert len(tracker.as_track(2)) == 2
-        with pytest.raises(ParameterError):
-            tracker.as_track(9)
+        track = tracker.as_track()
+        assert len(track) == 4 and track.linked == (True,) * 4
