@@ -1,4 +1,4 @@
-"""Deterministic DDIM stepping, momentum-corrected stepping, and inversion.
+"""Momentum-corrected DDIM stepping, DDIM sampling and DDIM inversion.
 
 One reverse step from level t to t_prev:
 
@@ -7,18 +7,22 @@ One reverse step from level t to t_prev:
     x_prev = sqrt(ab_prev) * x0_hat + dir_t + sigma_t * noise
 
 with ab the cumulative alpha product and sigma_t the usual eta-scaled
-stochastic width.  The momentum variant recomputes the emission from a
+stochastic width.  The momentum step recomputes the emission from a
 corrected x0 estimate: a velocity buffer accumulates the per-step drift
 g_t = x_t - x_prev_ddim + lam * dir_t and is folded back in with a weight
 kappa that ramps linearly from 0 at t=T to kappa0 at t=0, so the correction
-stays inert early and grows as structure settles.
+stays inert early and grows as structure settles.  A vanilla DDIM step is
+momentum_step with kappa0 = 0: the correction is skipped and v' never feeds
+x_prev, so the step emits exactly the DDIM latent.
 
-Every step, vanilla, corrected or inversion hop, is one linear map of x_t,
-eps_hat, the velocity v and the scaled noise n = sigma_t * z, with scalar
-coefficients computed once per call (_linear_step):
+Both step bodies are linear maps of x_t, eps_hat, the velocity v and the
+scaled noise n = sigma_t * z, with scalar coefficients computed once per
+hop:
 
     A = 1 / sqrt(ab_t)           B = -sqrt(1 - ab_t) * A
     P = sqrt(ab_prev)            D = sqrt(max(1 - ab_prev - sigma_t^2, 0))
+
+The momentum map (momentum_step) writes every output:
 
     x0     = A * x_t + B * eps_hat
     dir_t  = D * eps_hat
@@ -28,14 +32,17 @@ coefficients computed once per call (_linear_step):
     x0_hat = x0 + kappa * v'
     x_prev = P * x0_hat + dir_t + n
 
-DDIM is the case without a velocity; with kappa == 0 the corrected step
-emits exactly the DDIM latent.  The inversion hop is the same map with the
-target level's P = sqrt(ab_next) and D = sqrt(1 - ab_next).  Sweeps that
-keep only the latent (ddim_sample, ddim_invert) fold the emission further,
-x_prev = P*A * x_t + (P*B + D) * eps_hat + n.  Folding the
-divisions and the provisional emission into coefficients re-associates the
-arithmetic: at unit scale the outputs match the formulas above to a few
-ulps (tested to 1e-12), not bit for bit.
+The latent-only hop (ddim_sample, ddim_invert) keeps nothing but the latent
+and folds the emission into two coefficients:
+
+    x_prev = P*A * x_t + (P*B + D) * eps_hat + n
+
+The inversion hop is that map with the target level's P = sqrt(ab_next) and
+D = sqrt(1 - ab_next) and no noise.  Both sweeps walk their sub-grid through
+one loop that checks every hop's output and raises NumericError naming the
+hop.  Folding the divisions and the provisional emission into coefficients
+re-associates the arithmetic: at unit scale the outputs match the formulas
+above to a few ulps (tested to 1e-12), not bit for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ class StepOutput:
     x_prev: np.ndarray
     x0_hat: np.ndarray
     dir: np.ndarray
-    kappa_used: float = 0.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,14 +104,6 @@ def kappa_at(t: int, T: int, kappa0: float) -> float:
     return kappa0 * (1.0 - t / T)
 
 
-def predict_x0(x_t: np.ndarray, t: int, eps_hat: np.ndarray, s: NoiseSchedule) -> np.ndarray:
-    """Clean-latent estimate implied by a noise prediction at level t."""
-    if not (0 <= t <= s.T):
-        raise ParameterError(f"t must lie in [0, {s.T}], got {t}")
-    ab = _alpha_bar(s, t)
-    return (x_t - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
-
-
 def sigma_for(s: NoiseSchedule, t: int, t_prev: int, eta: float) -> float:
     if eta == 0.0:
         return 0.0
@@ -121,14 +119,6 @@ def _predict(denoiser, x_t, t):
     if not all_finite(eps_hat):
         raise ParameterError("denoiser produced non-finite values")
     return eps_hat
-
-
-def _alpha_bar(s, t) -> float:
-    """alpha_bar[t] as a float, rejecting the level x0 cannot be read from."""
-    ab = float(s.alpha_bar[t])
-    if ab == 0.0:
-        raise SingularScheduleError(f"alpha_bar[{t}] is zero; x0 is unrecoverable")
-    return ab
 
 
 def _width(s, t_prev, sigma) -> float:
@@ -147,52 +137,20 @@ def _noise(rng, sigma, shape):
     return z
 
 
-def _linear_step(
-    x_t, eps, ab_t, ab_prev, width, noise=None, v=None, beta=0.0, lam=0.0, kappa=0.0, x_prev_only=False
-):
-    """The step as a linear map (module docstring); returns x_prev, x0_hat,
-    dir and v' (None without a velocity).  Every array term is one numpy
-    pass into an output or the single scratch buffer.
-
-    x_prev_only serves the sweeps that keep nothing but the latent: without
-    a velocity, x_prev = P*A * x_t + (P*B + D) * eps_hat (+ n) takes three
-    passes instead of six, and x0_hat and dir come back as None."""
-    a = 1.0 / math.sqrt(ab_t)
-    b = -math.sqrt(1.0 - ab_t) * a
-    p = math.sqrt(ab_prev)
-    if x_prev_only and v is None:
-        x_prev = np.multiply(x_t, p * a)
-        x_prev += np.multiply(eps, p * b + width)
-        if noise is not None:
-            x_prev += noise
-        return x_prev, None, None, None
-    x0 = np.multiply(x_t, a)
-    scratch = np.multiply(eps, b)
-    x0 += scratch
-    direction = np.multiply(eps, width)
-    v_new = None
-    if v is not None:
-        w = 1.0 - beta
-        v_new = np.multiply(v, beta)
-        v_new += np.multiply(x_t, w * (1.0 - p * a), out=scratch)
-        v_new += np.multiply(eps, w * ((lam - 1.0) * width - p * b), out=scratch)
-        if noise is not None:
-            v_new -= np.multiply(noise, w, out=scratch)
-        if kappa != 0.0:
-            x0 += np.multiply(v_new, kappa, out=scratch)
-    x_prev = np.multiply(x0, p, out=scratch)
-    x_prev += direction
-    if noise is not None:
-        x_prev += noise
-    return x_prev, x0, direction, v_new
+def _coefficients(s, t, t_to) -> tuple[float, float, float]:
+    """A, B and P for a hop from level t to t_to, rejecting the level x0
+    cannot be read from."""
+    ab = float(s.alpha_bar[t])
+    if ab == 0.0:
+        raise SingularScheduleError(f"alpha_bar[{t}] is zero; x0 is unrecoverable")
+    a = 1.0 / math.sqrt(ab)
+    return a, -math.sqrt(1.0 - ab) * a, math.sqrt(float(s.alpha_bar[t_to]))
 
 
-def _step(x_t, t, denoiser, s, eta, rng, t_prev, state, x_prev_only=False):
-    """Validate, query the denoiser once and apply the linear map; the
-    velocity terms take part only when a momentum state is given.  Returns
-    x_prev, x0_hat, dir, v' and kappa.  x_t must already be a checked
-    latent: the public steps check it on entry, ddim_sample checks each
-    hop's output."""
+def _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev):
+    """Validate a reverse hop t -> t_prev (default t-1) and query the
+    denoiser once.  Returns eps_hat, A, B, P, D and the scaled noise (None
+    when sigma is 0).  x_t must already be a checked latent."""
     if not (1 <= t <= s.T):
         raise ParameterError(f"step source t must lie in [1, {s.T}], got {t}")
     if t_prev is None:
@@ -203,37 +161,19 @@ def _step(x_t, t, denoiser, s, eta, rng, t_prev, state, x_prev_only=False):
         raise ParameterError(f"eta must be >= 0, got {eta}")
     if eta > 0.0 and rng is None:
         raise ParameterError("eta > 0 requires an rng")
-    if state is not None:
-        if state.T != s.T:
-            raise ParameterError(f"state horizon T={state.T} does not match schedule T={s.T}")
-        if state.v.shape != x_t.shape:
-            raise ParameterError(f"state velocity shape {state.v.shape} does not match latent {x_t.shape}")
-
     eps_hat = _predict(denoiser, x_t, t)
-    ab_t = _alpha_bar(s, t)
+    a, b, p = _coefficients(s, t, t_prev)
     sigma = sigma_for(s, t, t_prev, eta)
-    width = _width(s, t_prev, sigma)
-    noise = _noise(rng, sigma, x_t.shape)
-    ab_prev = float(s.alpha_bar[t_prev])
-    if state is None:
-        return *_linear_step(x_t, eps_hat, ab_t, ab_prev, width, noise, x_prev_only=x_prev_only), 0.0
-    kappa = kappa_at(t, state.T, state.kappa0)
-    return *_linear_step(x_t, eps_hat, ab_t, ab_prev, width, noise, state.v, state.beta, state.lam, kappa), kappa
+    return eps_hat, a, b, p, _width(s, t_prev, sigma), _noise(rng, sigma, x_t.shape)
 
 
-def ddim_step(
-    x_t: np.ndarray,
-    t: int,
-    denoiser: Denoiser,
-    s: NoiseSchedule,
-    eta: float = 0.0,
-    rng: RandomSource | None = None,
-    t_prev: int | None = None,
-) -> StepOutput:
-    """One vanilla reverse step from t to t_prev (default t-1)."""
-    x_t = check_latent(x_t, "x_t")
-    x_prev, x0_hat, direction, _, _ = _step(x_t, t, denoiser, s, eta, rng, t_prev, None)
-    return StepOutput(x_prev=x_prev, x0_hat=x0_hat, dir=direction, kappa_used=0.0)
+def _latent_hop(x_t, eps, a, b, p, width, noise=None):
+    """x_prev = P*A * x_t + (P*B + D) * eps_hat (+ n), in three passes."""
+    x_prev = np.multiply(x_t, p * a)
+    x_prev += np.multiply(eps, p * b + width)
+    if noise is not None:
+        x_prev += noise
+    return x_prev
 
 
 def momentum_step(
@@ -246,18 +186,41 @@ def momentum_step(
     rng: RandomSource | None = None,
     t_prev: int | None = None,
 ) -> tuple[StepOutput, MomentumState]:
-    """One momentum-corrected reverse step.
+    """One momentum-corrected reverse step from t to t_prev (default t-1).
 
     Forms the drift against the provisional DDIM emission, updates the
     velocity buffer, then emits from the corrected x0 estimate; one noise
     sample serves both the drift and the emission.  The provisional
-    emission is never materialised: it is folded into the coefficients of
-    the linear map in the module docstring.  state is not modified; the
-    updated velocity comes back in a new MomentumState.
+    emission is never materialised: the step is the momentum map of the
+    module docstring, one numpy pass per array term into an output or the
+    single scratch buffer.  With kappa0 = 0 this is the vanilla DDIM step.
+    state is not modified; the updated velocity comes back in a new
+    MomentumState.
     """
     x_t = check_latent(x_t, "x_t")
-    x_prev, x0_hat, direction, v, kappa = _step(x_t, t, denoiser, s, eta, rng, t_prev, state)
-    out = StepOutput(x_prev=x_prev, x0_hat=x0_hat, dir=direction, kappa_used=kappa)
+    if state.T != s.T:
+        raise ParameterError(f"state horizon T={state.T} does not match schedule T={s.T}")
+    if state.v.shape != x_t.shape:
+        raise ParameterError(f"state velocity shape {state.v.shape} does not match latent {x_t.shape}")
+    eps, a, b, p, width, noise = _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev)
+    kappa = kappa_at(t, state.T, state.kappa0)
+    x0 = np.multiply(x_t, a)
+    scratch = np.multiply(eps, b)
+    x0 += scratch
+    direction = np.multiply(eps, width)
+    w = 1.0 - state.beta
+    v = np.multiply(state.v, state.beta)
+    v += np.multiply(x_t, w * (1.0 - p * a), out=scratch)
+    v += np.multiply(eps, w * ((state.lam - 1.0) * width - p * b), out=scratch)
+    if noise is not None:
+        v -= np.multiply(noise, w, out=scratch)
+    if kappa != 0.0:
+        x0 += np.multiply(v, kappa, out=scratch)
+    x_prev = np.multiply(x0, p, out=scratch)
+    x_prev += direction
+    if noise is not None:
+        x_prev += noise
+    out = StepOutput(x_prev=x_prev, x0_hat=x0, dir=direction)
     return out, MomentumState(v=v, beta=state.beta, lam=state.lam, kappa0=state.kappa0, T=state.T)
 
 
@@ -271,6 +234,17 @@ def step_grid(T: int, steps: int) -> np.ndarray:
     return grid
 
 
+def _sweep(name, x, grid, hop):
+    """Apply hop(x, src, dst) between consecutive levels of grid, yielding
+    each output once it is checked finite."""
+    levels = grid.tolist()
+    for src, dst in zip(levels, levels[1:]):
+        x = hop(x, src, dst)
+        if not all_finite(x):
+            raise NumericError(f"{name} produced non-finite values in the hop {src} -> {dst}")
+        yield x
+
+
 def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int) -> LatentSequence:
     """Deterministic inversion: walk a clean latent up a uniform sub-grid.
 
@@ -280,18 +254,17 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
 
         x_next = sqrt(ab_next) * x0_hat + sqrt(1 - ab_next) * eps_hat
 
-    Returns the trajectory of steps+1 latents; entry 0 is the input.
+    Returns the trajectory of steps+1 latents; entry 0 is the input.  x0 is
+    checked on entry and every hop's output after it, so a blow-up raises
+    NumericError naming the hop.
     """
     x = check_latent(x0, "x0")
-    grid = step_grid(s.T, steps)
-    traj = [x]
-    for k in range(steps):
-        t_src, t_dst = int(grid[k]), int(grid[k + 1])
-        eps_hat = _predict(denoiser, x, t_dst)
-        ab_dst = float(s.alpha_bar[t_dst])
-        x = _linear_step(x, eps_hat, _alpha_bar(s, t_src), ab_dst, math.sqrt(1.0 - ab_dst), x_prev_only=True)[0]
-        traj.append(x)
-    return LatentSequence(np.stack(traj))
+
+    def hop(x, src, dst):
+        eps_hat = _predict(denoiser, x, dst)
+        return _latent_hop(x, eps_hat, *_coefficients(s, src, dst), math.sqrt(1.0 - float(s.alpha_bar[dst])))
+
+    return LatentSequence(np.stack([x, *_sweep("ddim_invert", x, step_grid(s.T, steps), hop)]))
 
 
 def ddim_sample(
@@ -308,9 +281,10 @@ def ddim_sample(
     raises NumericError naming the hop instead of returning inf or nan."""
     x = check_latent(x_T, "x_T")
     grid = step_grid(s.T, steps if steps is not None else s.T)
-    for k in range(len(grid) - 1, 0, -1):
-        t, t_prev = int(grid[k]), int(grid[k - 1])
-        x = _step(x, t, denoiser, s, eta, rng, t_prev, None, x_prev_only=True)[0]
-        if not all_finite(x):
-            raise NumericError(f"ddim_sample produced non-finite values in the hop {t} -> {t_prev}")
+
+    def hop(x, t, t_prev):
+        return _latent_hop(x, *_reverse_terms(x, t, denoiser, s, eta, rng, t_prev))
+
+    for x in _sweep("ddim_sample", x, grid[::-1], hop):
+        pass  # only the last latent is kept
     return x

@@ -19,18 +19,13 @@ from .tracking import MaskTrack
 
 @dataclasses.dataclass(frozen=True)
 class OracleSpec:
-    """Target for the analytic denoiser: one latent, or one per frame."""
+    """Target for the analytic denoiser: one clean latent per frame; a
+    single target is a bank of one, frames=x0[None]."""
 
-    x0_star: np.ndarray | None = None
-    frames: np.ndarray | None = None  # (F, C, H, W)
+    frames: np.ndarray  # (F, C, H, W)
 
     def __post_init__(self):
-        if (self.x0_star is None) == (self.frames is None):
-            raise ParameterError("provide exactly one of x0_star or frames")
-        if self.x0_star is not None:
-            object.__setattr__(self, "x0_star", check_latent(self.x0_star, "x0_star"))
-        else:
-            object.__setattr__(self, "frames", LatentSequence(self.frames).data)
+        object.__setattr__(self, "frames", LatentSequence(self.frames).data)
 
 
 class _Oracle:
@@ -61,10 +56,8 @@ class _Oracle:
 
 
 def oracle_denoiser(spec: OracleSpec, s: NoiseSchedule) -> _Oracle:
-    """Build the analytic denoiser for a known target; a single x0_star is
-    a bank of one frame."""
-    frames = spec.frames if spec.x0_star is None else spec.x0_star[None]
-    return _Oracle(frames, s)
+    """Build the analytic denoiser for a known bank of targets."""
+    return _Oracle(spec.frames, s)
 
 
 def moving_square_scene(

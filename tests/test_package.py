@@ -1,4 +1,5 @@
-"""Package hygiene: no dead top-level imports, no dangling script entries."""
+"""Package hygiene: no dead top-level imports, no unreferenced private
+functions or classes, no dangling script entries."""
 
 import ast
 import importlib
@@ -29,6 +30,26 @@ def unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path) == []
+
+
+def unreferenced_privates(path: Path) -> list[str]:
+    """Module-level private functions and classes (_name) that nothing in
+    the module refers to."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in defined.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_definitions(path):
+    assert unreferenced_privates(path) == []
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,10 +13,8 @@ from latentmix.sampler import (
     MomentumState,
     ddim_invert,
     ddim_sample,
-    ddim_step,
     kappa_at,
     momentum_step,
-    predict_x0,
     sigma_for,
     step_grid,
 )
@@ -43,6 +42,14 @@ class MixDenoiser:
         return np.tanh(mixed) + np.sin(float(t)) * self.b
 
 
+class FixedEps:
+    def __init__(self, eps):
+        self.eps = eps
+
+    def predict_eps(self, x_t, t):
+        return self.eps
+
+
 class CountingRng(RandomSource):
     def __init__(self, seed):
         super().__init__(seed)
@@ -53,10 +60,18 @@ class CountingRng(RandomSource):
         return super().normal(shape)
 
 
+def vanilla_step(x, t, den, s, eta=0.0, rng=None, t_prev=None):
+    """A vanilla DDIM step: momentum_step with kappa0 = 0."""
+    state = MomentumState.fresh(np.shape(x), T=s.T, kappa0=0.0)
+    return momentum_step(x, t, den, s, state, eta=eta, rng=rng, t_prev=t_prev)[0]
+
+
 class TestPredictX0:
+    """The x0 estimate a step reports (StepOutput.x0_hat)."""
+
     def test_zero_eps(self, desk_schedule):
         x = RandomSource(0).normal(DESK_SHAPE)
-        out = predict_x0(x, 10, np.zeros_like(x), desk_schedule)
+        out = vanilla_step(x, 10, ZeroDenoiser(), desk_schedule).x0_hat
         assert np.allclose(out, x / np.sqrt(desk_schedule.alpha_bar[10]), atol=1e-15)
 
     def test_inverts_forward_identity(self, desk_schedule):
@@ -66,34 +81,45 @@ class TestPredictX0:
             eps = rng.normal(DESK_SHAPE)
             ab = desk_schedule.alpha_bar[t]
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-            rec = predict_x0(x_t, t, eps, desk_schedule)
+            rec = vanilla_step(x_t, t, FixedEps(eps), desk_schedule).x0_hat
             assert np.max(np.abs(rec - x0)) < 1e-9
 
     def test_singular_schedule(self):
+        x, den = np.zeros((1, 2, 2)), ZeroDenoiser()
         fake = SimpleNamespace(T=2, alpha_bar=np.array([1.0, 0.5, 0.0]))
-        with pytest.raises(SingularScheduleError):
-            predict_x0(np.zeros((1, 2, 2)), 2, np.zeros((1, 2, 2)), fake)
+        with pytest.raises(SingularScheduleError, match=r"^alpha_bar\[2\] is zero"):
+            momentum_step(x, 2, den, fake, MomentumState.fresh(x.shape, T=2))
+        with pytest.raises(SingularScheduleError, match=r"^alpha_bar\[2\] is zero"):
+            ddim_sample(x, den, fake, steps=1)
+        # inversion reads x0 only at the source levels below T, so the zero
+        # has to sit at an interior level to be reached
+        fake = SimpleNamespace(T=2, alpha_bar=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(SingularScheduleError, match=r"^alpha_bar\[1\] is zero"):
+            ddim_invert(x, den, fake, steps=2)
 
 
 class TestDdimStep:
+    """A vanilla DDIM step, run as momentum_step with kappa0 = 0."""
+
     def test_zero_denoiser_closed_form(self, desk_schedule):
         x = RandomSource(1).normal(DESK_SHAPE)
         t = 20
-        out = ddim_step(x, t, ZeroDenoiser(), desk_schedule)
+        out = vanilla_step(x, t, ZeroDenoiser(), desk_schedule)
         scale = np.sqrt(desk_schedule.alpha_bar[t - 1] / desk_schedule.alpha_bar[t])
         assert np.allclose(out.x_prev, scale * x, atol=1e-12)
-        assert out.kappa_used == 0.0
+        x_prev = reference_step(x, t, t - 1, np.zeros_like(x), desk_schedule, 0.0, None)[0]
+        assert np.max(np.abs(out.x_prev - x_prev)) < 1e-12
 
     def test_oracle_full_sweep(self, desk_schedule):
         # eta=0 sweep from a diffused latent lands on x0*; x0_hat exact at every step
         rng = RandomSource(2)
         for trial in range(10):
             x0_star = RandomSource(100 + trial).normal(DESK_SHAPE)
-            den = oracle_denoiser(OracleSpec(x0_star=x0_star), desk_schedule)
+            den = oracle_denoiser(OracleSpec(frames=x0_star[None]), desk_schedule)
             ab_T = desk_schedule.alpha_bar[-1]
             x = np.sqrt(ab_T) * x0_star + np.sqrt(1.0 - ab_T) * rng.normal(DESK_SHAPE)
             for t in range(desk_schedule.T, 0, -1):
-                out = ddim_step(x, t, den, desk_schedule)
+                out = vanilla_step(x, t, den, desk_schedule)
                 assert np.max(np.abs(out.x0_hat - x0_star)) < 1e-9
                 x = out.x_prev
             assert np.max(np.abs(x - x0_star)) < 1e-5
@@ -101,31 +127,31 @@ class TestDdimStep:
     def test_eta_one_reproducible(self, desk_schedule):
         x = RandomSource(3).normal(DESK_SHAPE)
         den = MixDenoiser()
-        a = ddim_step(x, 30, den, desk_schedule, eta=1.0, rng=RandomSource(7))
-        b = ddim_step(x, 30, den, desk_schedule, eta=1.0, rng=RandomSource(7))
+        a = vanilla_step(x, 30, den, desk_schedule, eta=1.0, rng=RandomSource(7))
+        b = vanilla_step(x, 30, den, desk_schedule, eta=1.0, rng=RandomSource(7))
         assert a.x_prev.tobytes() == b.x_prev.tobytes()
-        c = ddim_step(x, 30, den, desk_schedule, eta=1.0, rng=RandomSource(8))
+        c = vanilla_step(x, 30, den, desk_schedule, eta=1.0, rng=RandomSource(8))
         assert not np.array_equal(a.x_prev, c.x_prev)
 
     def test_eta_one_stochastic_sweep_still_converges(self, desk_schedule):
         # the oracle's x0 estimate is exact at every level, so even the
         # stochastic sampler ends on x0* (final hop has zero width)
         x0_star = RandomSource(21).normal(DESK_SHAPE)
-        den = oracle_denoiser(OracleSpec(x0_star=x0_star), desk_schedule)
+        den = oracle_denoiser(OracleSpec(frames=x0_star[None]), desk_schedule)
         rng = RandomSource(22)
         x = rng.normal(DESK_SHAPE)
         for t in range(desk_schedule.T, 0, -1):
-            x = ddim_step(x, t, den, desk_schedule, eta=1.0, rng=rng).x_prev
+            x = vanilla_step(x, t, den, desk_schedule, eta=1.0, rng=rng).x_prev
         assert np.max(np.abs(x - x0_star)) < 1e-9
 
     def test_excessive_eta_rejected(self, desk_schedule):
         x = RandomSource(4).normal(DESK_SHAPE)
         with pytest.raises(ParameterError):
-            ddim_step(x, 32, ZeroDenoiser(), desk_schedule, eta=50.0, rng=RandomSource(0))
+            vanilla_step(x, 32, ZeroDenoiser(), desk_schedule, eta=50.0, rng=RandomSource(0))
 
     def test_eta_requires_rng(self, desk_schedule):
         with pytest.raises(ParameterError):
-            ddim_step(np.zeros(DESK_SHAPE), 5, ZeroDenoiser(), desk_schedule, eta=0.5)
+            vanilla_step(np.zeros(DESK_SHAPE), 5, ZeroDenoiser(), desk_schedule, eta=0.5)
 
     def test_sigma_bound_at_eta_one(self, desk_schedule):
         for t in range(2, desk_schedule.T + 1):
@@ -135,11 +161,11 @@ class TestDdimStep:
     def test_t_bounds(self, desk_schedule):
         x = np.zeros(DESK_SHAPE)
         with pytest.raises(ParameterError):
-            ddim_step(x, 0, ZeroDenoiser(), desk_schedule)
+            vanilla_step(x, 0, ZeroDenoiser(), desk_schedule)
         with pytest.raises(ParameterError):
-            ddim_step(x, desk_schedule.T + 1, ZeroDenoiser(), desk_schedule)
+            vanilla_step(x, desk_schedule.T + 1, ZeroDenoiser(), desk_schedule)
         with pytest.raises(ParameterError):
-            ddim_step(x, 5, ZeroDenoiser(), desk_schedule, t_prev=5)
+            vanilla_step(x, 5, ZeroDenoiser(), desk_schedule, t_prev=5)
 
 
 class TestKappa:
@@ -174,13 +200,11 @@ class TestMomentumStep:
             x_m = RandomSource(50 + trial).normal(DESK_SHAPE)
             x_d = x_m.copy()
             state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T, kappa0=0.0)
-            worst = 0.0
             for t in range(desk_schedule.T, 0, -1):
                 out_m, state = momentum_step(x_m, t, den, desk_schedule, state)
-                out_d = ddim_step(x_d, t, den, desk_schedule)
-                worst = max(worst, float(np.max(np.abs(out_m.x_prev - out_d.x_prev))))
+                out_d = vanilla_step(x_d, t, den, desk_schedule)
+                assert np.array_equal(out_m.x_prev, out_d.x_prev)
                 x_m, x_d = out_m.x_prev, out_d.x_prev
-            assert worst <= 1e-12
 
     def test_first_step_at_T_equals_vanilla_for_any_v(self, desk_schedule):
         # kappa(T) == 0 wipes the correction even with a dirty buffer
@@ -189,9 +213,11 @@ class TestMomentumStep:
         dirty = MomentumState(
             v=RandomSource(10).normal(DESK_SHAPE), beta=0.9, lam=1.0, kappa0=2.0, T=desk_schedule.T
         )
-        out_m, new_state = momentum_step(x, desk_schedule.T, den, desk_schedule, dirty)
-        out_d = ddim_step(x, desk_schedule.T, den, desk_schedule)
-        assert out_m.kappa_used == 0.0
+        T = desk_schedule.T
+        out_m, new_state = momentum_step(x, T, den, desk_schedule, dirty)
+        out_d = vanilla_step(x, T, den, desk_schedule)
+        x_prev = reference_step(x, T, T - 1, den.predict_eps(x, T), desk_schedule, 0.0, None, dirty)[0]
+        assert np.max(np.abs(out_m.x_prev - x_prev)) < 1e-12
         assert np.array_equal(out_m.x_prev, out_d.x_prev)
         # velocity still updates for later steps
         assert not np.array_equal(new_state.v, dirty.v)
@@ -226,16 +252,18 @@ class TestMomentumStep:
         kappa = k0 * (1 - t / desk_schedule.T)
         expect = np.sqrt(ab_p) * (x0_ddim + kappa * v1) + direction
 
-        assert abs(out.kappa_used - kappa) < 1e-15
         assert np.max(np.abs(new_state.v - v1)) < 1e-12
         assert np.max(np.abs(out.x_prev - expect)) < 1e-12
+        x_prev = reference_step(x, t, t - 1, eps, desk_schedule, 0.0, None, state)[0]
+        assert np.max(np.abs(out.x_prev - x_prev)) < 1e-12
         # emission is internally consistent with the reported x0 estimate
         rebuilt = np.sqrt(ab_p) * out.x0_hat + out.dir
         assert np.max(np.abs(rebuilt - out.x_prev)) < 1e-12
 
     def test_noise_sample_reused(self, desk_schedule):
-        # same seed through momentum and vanilla paths: the stochastic term
-        # cancels in the difference, leaving exactly sqrt(ab_prev)*kappa*v
+        # same seed through a kappa0=2 and a kappa0=0 state: the stochastic
+        # term cancels in the difference, leaving exactly sqrt(ab_prev)*kappa*v
+        # (v' does not depend on kappa)
         den = MixDenoiser()
         x = RandomSource(15).normal(DESK_SHAPE)
         state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T)
@@ -243,9 +271,9 @@ class TestMomentumStep:
         counting = CountingRng(77)
         out_m, new_state = momentum_step(x, t, den, desk_schedule, state, eta=1.0, rng=counting)
         assert counting.draws == 1  # one draw serves both emissions
-        out_d = ddim_step(x, t, den, desk_schedule, eta=1.0, rng=RandomSource(77))
+        out_d = vanilla_step(x, t, den, desk_schedule, eta=1.0, rng=RandomSource(77))
         gap = out_m.x_prev - out_d.x_prev
-        expect = np.sqrt(desk_schedule.alpha_bar[t - 1]) * out_m.kappa_used * new_state.v
+        expect = np.sqrt(desk_schedule.alpha_bar[t - 1]) * kappa_at(t, state.T, state.kappa0) * new_state.v
         assert np.max(np.abs(gap - expect)) < 1e-12
 
     def test_state_validation(self, desk_schedule):
@@ -283,13 +311,13 @@ class TestInversion:
     def test_oracle_round_trip_50_steps(self):
         s = make_schedule()  # T=1000 default
         x0 = RandomSource(17).normal(DESK_SHAPE)
-        den = oracle_denoiser(OracleSpec(x0_star=x0), s)
+        den = oracle_denoiser(OracleSpec(frames=x0[None]), s)
         traj = ddim_invert(x0, den, s, steps=50)
         assert len(traj) == 51
         grid = step_grid(s.T, 50)
         x = traj.frame(50)
         for k in range(50, 0, -1):
-            x = ddim_step(x, int(grid[k]), den, s, t_prev=int(grid[k - 1])).x_prev
+            x = vanilla_step(x, int(grid[k]), den, s, t_prev=int(grid[k - 1])).x_prev
         assert np.max(np.abs(x - x0)) < 1e-4
 
     def test_round_trip_non_oracle(self, desk_schedule):
@@ -306,7 +334,7 @@ class TestInversion:
         grid = step_grid(desk_schedule.T, steps)
         x = traj.frame(steps)
         for k in range(steps, 0, -1):
-            x = ddim_step(x, int(grid[k]), den, desk_schedule, t_prev=int(grid[k - 1])).x_prev
+            x = vanilla_step(x, int(grid[k]), den, desk_schedule, t_prev=int(grid[k - 1])).x_prev
         err = np.max(np.abs(x - x0))
         excursion = np.max(np.abs(traj.frame(steps) - x0))
         assert err < 0.01
@@ -314,7 +342,7 @@ class TestInversion:
 
     def test_sample_helper(self, desk_schedule):
         x0_star = RandomSource(19).normal(DESK_SHAPE)
-        den = oracle_denoiser(OracleSpec(x0_star=x0_star), desk_schedule)
+        den = oracle_denoiser(OracleSpec(frames=x0_star[None]), desk_schedule)
         out = ddim_sample(RandomSource(20).normal(DESK_SHAPE), den, desk_schedule)
         assert np.max(np.abs(out - x0_star)) < 1e-5
 
@@ -352,13 +380,12 @@ class TestLinearMap:
     def test_ddim_step_matches_reference(self, desk_schedule, eta, t, t_prev):
         den = MixDenoiser(seed=t)
         x = RandomSource(60 + t).normal(DESK_SHAPE)
-        out = ddim_step(x, t, den, desk_schedule, eta=eta, rng=RandomSource(61), t_prev=t_prev)
+        out = vanilla_step(x, t, den, desk_schedule, eta=eta, rng=RandomSource(61), t_prev=t_prev)
         z = RandomSource(61).normal(DESK_SHAPE)
         x_prev, x0, d, _ = reference_step(x, t, t_prev, den.predict_eps(x, t), desk_schedule, eta, z)
         assert np.max(np.abs(out.x_prev - x_prev)) < self.TOL
         assert np.max(np.abs(out.x0_hat - x0)) < self.TOL
         assert np.max(np.abs(out.dir - d)) < self.TOL
-        assert out.kappa_used == 0.0
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("kappa0", [0.0, 2.0])
@@ -378,7 +405,6 @@ class TestLinearMap:
         assert np.max(np.abs(out.x0_hat - x0)) < self.TOL
         assert np.max(np.abs(out.dir - d)) < self.TOL
         assert np.max(np.abs(new_state.v - v1)) < self.TOL
-        assert out.kappa_used == kappa0 * (1 - t / desk_schedule.T)
         assert (new_state.beta, new_state.lam, new_state.kappa0, new_state.T) == (0.9, lam, kappa0, desk_schedule.T)
 
     def test_kappa_zero_emits_ddim_exactly(self, desk_schedule):
@@ -387,7 +413,7 @@ class TestLinearMap:
         dirty = MomentumState(v=RandomSource(74).normal(DESK_SHAPE), beta=0.5, lam=0.7, kappa0=0.0, T=desk_schedule.T)
         for t, t_prev in STEP_PAIRS:
             out_m, _ = momentum_step(x, t, den, desk_schedule, dirty, eta=0.5, rng=RandomSource(75), t_prev=t_prev)
-            out_d = ddim_step(x, t, den, desk_schedule, eta=0.5, rng=RandomSource(75), t_prev=t_prev)
+            out_d = vanilla_step(x, t, den, desk_schedule, eta=0.5, rng=RandomSource(75), t_prev=t_prev)
             assert np.array_equal(out_m.x_prev, out_d.x_prev)
             assert np.array_equal(out_m.x0_hat, out_d.x0_hat)
 
@@ -403,14 +429,16 @@ class TestLinearMap:
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     def test_ddim_sample_matches_step_loop(self, desk_schedule, eta):
         # the sweep folds the emission into two coefficients; it must track
-        # a loop of full ddim_step calls drawing the same noise
+        # a loop of the raw formulas drawing the same noise
         den = MixDenoiser(seed=6)
         x_T = RandomSource(82).normal(DESK_SHAPE)
         out = ddim_sample(x_T, den, desk_schedule, steps=16, eta=eta, rng=RandomSource(83))
         grid = step_grid(desk_schedule.T, 16)
         rng, x = RandomSource(83), x_T
         for k in range(16, 0, -1):
-            x = ddim_step(x, int(grid[k]), den, desk_schedule, eta=eta, rng=rng, t_prev=int(grid[k - 1])).x_prev
+            t, t_prev = int(grid[k]), int(grid[k - 1])
+            z = rng.normal(DESK_SHAPE) if sigma_for(desk_schedule, t, t_prev, eta) > 0.0 else None
+            x = reference_step(x, t, t_prev, den.predict_eps(x, t), desk_schedule, eta, z)[0]
         assert np.max(np.abs(out - x)) < self.TOL
 
     @pytest.mark.parametrize("steps", [1, 7, 64])
@@ -448,7 +476,7 @@ class TestFiniteness:
         out, new_state = momentum_step(big, 1, Echo(), desk_schedule, state, t_prev=0)
         assert np.all(np.isfinite(out.x_prev))
         assert np.all(np.isfinite(new_state.v))
-        out = ddim_step(np.full(DESK_SHAPE, 1e308), 1, ZeroDenoiser(), desk_schedule, t_prev=0)
+        out = vanilla_step(np.full(DESK_SHAPE, 1e308), 1, ZeroDenoiser(), desk_schedule, t_prev=0)
         assert np.all(np.isfinite(out.x_prev))
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "pair"])
@@ -458,7 +486,7 @@ class TestFiniteness:
         with pytest.raises(ParameterError, match="^x_t contains non-finite values$"):
             momentum_step(x, 5, ZeroDenoiser(), desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T))
         with pytest.raises(ParameterError, match="^x_t contains non-finite values$"):
-            ddim_step(x, 5, ZeroDenoiser(), desk_schedule)
+            vanilla_step(x, 5, ZeroDenoiser(), desk_schedule)
 
     @pytest.mark.parametrize("bad", ["inf", "nan", "pair"])
     def test_non_finite_denoiser_output_rejected(self, desk_schedule, bad):
@@ -482,6 +510,53 @@ class TestFiniteness:
         with np.errstate(over="ignore"):
             with pytest.raises(NumericError, match=f"^ddim_sample produced non-finite values in the hop {hop}$"):
                 ddim_sample(x_T, ZeroDenoiser(), desk_schedule, steps=steps)
+
+    @pytest.mark.parametrize("steps, hop", [(2, "0 -> 32"), (4, "0 -> 16")])
+    def test_ddim_invert_overflow_names_its_hop(self, desk_schedule, steps, hop):
+        # an echo denoiser feeds x back as eps, so the first hop's output,
+        # (sqrt(ab_dst) + sqrt(1 - ab_dst)) * 1.5e308, overflows; the next
+        # query must not get the blame
+        class Echo:
+            def predict_eps(self, x_t, t):
+                return x_t
+
+        x0 = np.full(DESK_SHAPE, 1.5e308)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match=f"^ddim_invert produced non-finite values in the hop {hop}$"):
+                ddim_invert(x0, Echo(), desk_schedule, steps=steps)
+
+
+# sha256 of golden_run at the desk scale, recorded with numpy GOLDEN_NUMPY.
+# RandomSource's normal draws are stable only within one numpy release.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_DIGEST = "f2dd6f1132304828b704a85b744a731cdbc6f1134a01a20ef23004b477adba2a"
+
+
+def golden_run(s):
+    """A seeded run through every public sweep: a momentum_step trajectory
+    (eta 0.5, kappa0 2), ddim_sample (eta 1) and ddim_invert (16 steps).
+    Returns the sha256 of every latent, estimate and velocity it emits."""
+    den = MixDenoiser(seed=8)
+    rng = RandomSource(2506)
+    h = hashlib.sha256()
+    x = rng.normal(DESK_SHAPE)
+    state = MomentumState.fresh(DESK_SHAPE, T=s.T, beta=0.9, lam=0.7, kappa0=2.0)
+    for t in range(s.T, 0, -1):
+        out, state = momentum_step(x, t, den, s, state, eta=0.5, rng=rng)
+        for a in (out.x_prev, out.x0_hat, out.dir, state.v):
+            h.update(a.tobytes())
+        x = out.x_prev
+    h.update(ddim_sample(rng.normal(DESK_SHAPE), den, s, eta=1.0, rng=rng).tobytes())
+    h.update(ddim_invert(x, den, s, 16).data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(
+    np.__version__ != GOLDEN_NUMPY,
+    reason=f"golden digest recorded with numpy {GOLDEN_NUMPY}; normal draws differ across numpy releases",
+)
+def test_golden_digest(desk_schedule):
+    assert golden_run(desk_schedule) == GOLDEN_DIGEST
 
 
 def poison(x, bad):

@@ -3,7 +3,6 @@ import pytest
 
 from latentmix.core import RandomSource, forward_diffuse
 from latentmix.errors import DomainError, ParameterError
-from latentmix.sampler import predict_x0
 from latentmix.synth import (
     OracleSpec,
     checkerboard_frame,
@@ -20,7 +19,7 @@ class TestOracle:
     def test_recovers_known_noise(self, desk_schedule):
         rng = RandomSource(1)
         x0 = rng.normal(DESK_SHAPE)
-        den = oracle_denoiser(OracleSpec(x0_star=x0), desk_schedule)
+        den = oracle_denoiser(OracleSpec(frames=x0[None]), desk_schedule)
         for t in range(1, desk_schedule.T + 1):
             eps = rng.normal(DESK_SHAPE)
             ab = desk_schedule.alpha_bar[t]
@@ -31,23 +30,28 @@ class TestOracle:
 
     def test_predict_x0_is_exact(self, desk_schedule):
         x0 = RandomSource(2).normal(DESK_SHAPE)
-        den = oracle_denoiser(OracleSpec(x0_star=x0), desk_schedule)
+        den = oracle_denoiser(OracleSpec(frames=x0[None]), desk_schedule)
         rng = RandomSource(3)
         for t in range(1, desk_schedule.T + 1):
             x_t = forward_diffuse(x0, t, desk_schedule, rng)
-            rec = predict_x0(x_t, t, den.predict_eps(x_t, t), desk_schedule)
+            ab = desk_schedule.alpha_bar[t]
+            rec = (x_t - np.sqrt(1.0 - ab) * den.predict_eps(x_t, t)) / np.sqrt(ab)
             assert np.max(np.abs(rec - x0)) < 1e-9
 
     def test_t0_is_domain_error(self, desk_schedule):
-        den = oracle_denoiser(OracleSpec(x0_star=np.zeros(DESK_SHAPE)), desk_schedule)
+        den = oracle_denoiser(OracleSpec(frames=np.zeros((1, *DESK_SHAPE))), desk_schedule)
         with pytest.raises(DomainError):
             den.predict_eps(np.zeros(DESK_SHAPE), 0)
 
-    def test_spec_requires_exactly_one_target(self):
-        with pytest.raises(ParameterError):
-            OracleSpec()
-        with pytest.raises(ParameterError):
-            OracleSpec(x0_star=np.zeros((1, 2, 2)), frames=np.zeros((1, 1, 2, 2)))
+    def test_spec_rejects_bad_frames(self):
+        for shape in [(1, 2, 2), (1, 1, 1, 2, 2), (0, 1, 2, 2)]:
+            with pytest.raises(ParameterError, match="^sequence must be a nonempty"):
+                OracleSpec(frames=np.zeros(shape))
+        for bad in (np.inf, np.nan):
+            frames = np.zeros((2, 1, 2, 2))
+            frames[1, 0, 1, 0] = bad
+            with pytest.raises(ParameterError, match="^sequence contains non-finite values$"):
+                OracleSpec(frames=frames)
 
     def test_sequence_oracle_frame_selection(self, desk_schedule):
         frames = np.stack([np.full(DESK_SHAPE, float(k)) for k in range(3)])
