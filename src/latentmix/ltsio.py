@@ -26,14 +26,18 @@ FLAG_MASK = 1
 _HEADER = struct.Struct("<4s5I")
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write payload to path via a temp file in the same directory + rename."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to path via a temp file in the
+    same directory + rename.  A chunk may be any C-contiguous buffer, such
+    as a numpy array, and is written without being copied.  If any chunk
+    fails to write, path is left as it was and the temp file is removed."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -69,7 +73,7 @@ def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
         if not np.all((data == 0.0) | (data == 1.0)):
             raise ParameterError("mask payload values must be exactly 0.0 or 1.0")
     header = _HEADER.pack(MAGIC, f, c, h, w, flags)
-    atomic_write_bytes(path, header + payload.tobytes())
+    atomic_write_bytes(path, header, payload)
 
 
 def read_lts(path) -> tuple[np.ndarray, int]:
@@ -86,10 +90,12 @@ def read_lts(path) -> tuple[np.ndarray, int]:
     expected = _HEADER.size + 4 * f * c * h * w
     if len(raw) != expected:
         raise FormatError(f"{path}: payload size {len(raw) - _HEADER.size} does not match header")
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size).astype(np.float64)
-    data = data.reshape(f, c, h, w)
-    if not all_finite(data):
+    # Scan the stored float32 values: widening keeps every inf and nan, and
+    # the float32 scan reads half the bytes.
+    stored = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+    if not all_finite(stored):
         raise FormatError(f"{path}: payload contains non-finite values")
+    data = stored.astype(np.float64).reshape(f, c, h, w)
     if flags & FLAG_MASK:
         if c != 1:
             raise FormatError(f"{path}: mask flag set but C={c}")

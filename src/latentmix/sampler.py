@@ -167,9 +167,11 @@ def _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev):
     return eps_hat, a, b, p, _width(s, t_prev, sigma), _noise(rng, sigma, x_t.shape)
 
 
-def _latent_hop(x_t, eps, a, b, p, width, noise=None):
-    """x_prev = P*A * x_t + (P*B + D) * eps_hat (+ n), in three passes."""
-    x_prev = np.multiply(x_t, p * a)
+def _latent_hop(x_t, eps, a, b, p, width, noise=None, out=None):
+    """x_prev = P*A * x_t + (P*B + D) * eps_hat (+ n), in three passes,
+    written into out when given.  eps is read, never written: a denoiser
+    may hand back an array it keeps."""
+    x_prev = np.multiply(x_t, p * a, out=out)
     x_prev += np.multiply(eps, p * b + width)
     if noise is not None:
         x_prev += noise
@@ -254,17 +256,27 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
 
         x_next = sqrt(ab_next) * x0_hat + sqrt(1 - ab_next) * eps_hat
 
-    Returns the trajectory of steps+1 latents; entry 0 is the input.  x0 is
-    checked on entry and every hop's output after it, so a blow-up raises
+    Returns the trajectory of steps+1 latents; entry 0 is a copy of the
+    input.  The trajectory is one (steps+1, C, H, W) array allocated up
+    front, and each hop writes its output in place into the next row, so no
+    per-hop latent is kept and nothing is stacked afterwards.  x0 is checked
+    on entry and every hop's output after it, so a blow-up raises
     NumericError naming the hop.
     """
     x = check_latent(x0, "x0")
+    grid = step_grid(s.T, steps)
+    traj = np.empty((len(grid), *x.shape))
+    traj[0] = x
+    rows = iter(traj[1:])
 
     def hop(x, src, dst):
         eps_hat = _predict(denoiser, x, dst)
-        return _latent_hop(x, eps_hat, *_coefficients(s, src, dst), math.sqrt(1.0 - float(s.alpha_bar[dst])))
+        width = math.sqrt(1.0 - float(s.alpha_bar[dst]))
+        return _latent_hop(x, eps_hat, *_coefficients(s, src, dst), width, out=next(rows))
 
-    return LatentSequence(np.stack([x, *_sweep("ddim_invert", x, step_grid(s.T, steps), hop)]))
+    for _ in _sweep("ddim_invert", traj[0], grid, hop):
+        pass  # every hop wrote its row of traj
+    return LatentSequence(traj)
 
 
 def ddim_sample(

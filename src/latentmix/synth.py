@@ -9,6 +9,7 @@ masks; the patch embedding proxy stands in for a visual encoder.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -49,10 +50,12 @@ class _Oracle:
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
         if not (0 <= t <= self.s.T):
             raise ParameterError(f"t must lie in [0, {self.s.T}], got {t}")
-        ab = self.s.alpha_bar[t]
+        ab = float(self.s.alpha_bar[t])
         if ab == 1.0:
             raise DomainError("oracle eps is undefined at t=0 (zero noise floor)")
-        return (x_t - np.sqrt(ab) * self.x0_star) / np.sqrt(1.0 - ab)
+        eps = np.subtract(x_t, np.multiply(self.x0_star, math.sqrt(ab)))
+        eps /= math.sqrt(1.0 - ab)
+        return eps
 
 
 def oracle_denoiser(spec: OracleSpec, s: NoiseSchedule) -> _Oracle:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,20 @@ def rng():
 
 def random_latent(rng: RandomSource, shape=DESK_SHAPE) -> np.ndarray:
     return rng.normal(shape)
+
+
+def traced_peak(fn, *args) -> int:
+    """Run fn(*args); returns the peak bytes allocated above the level at the
+    call, as tracemalloc counts them.  numpy reports its array buffers to
+    tracemalloc, so the count is deterministic, unlike a timing."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 
@@ -10,6 +11,7 @@ from latentmix.core import LatentSequence, RandomSource
 from latentmix.errors import FormatError, ParameterError
 from latentmix.ltsio import (
     FLAG_MASK,
+    atomic_write_bytes,
     load_masks,
     load_sequence,
     read_lts,
@@ -18,6 +20,8 @@ from latentmix.ltsio import (
     sidecar_path,
     write_lts,
 )
+
+from conftest import traced_peak
 
 
 def test_sequence_round_trip(tmp_path):
@@ -37,6 +41,16 @@ def test_header_layout(tmp_path):
     assert magic == b"LTS1"
     assert (f, c, h, w, flags) == (2, 3, 4, 5, 0)
     assert len(raw) == 24 + 4 * 2 * 3 * 4 * 5
+
+
+def test_file_bytes_pinned(tmp_path):
+    # float32-exact values, so the file is fixed by the format alone
+    data = (np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5) - 60.0) / 8.0
+    path = tmp_path / "pinned.lts"
+    write_lts(path, data)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6eb88a2e1036ba8e8df535d5ddb3955d3f37607ee808409a03268f3eb15eea0f"
+    )
 
 
 def test_payload_order_is_frame_major(tmp_path):
@@ -99,6 +113,15 @@ def test_bad_magic_and_truncation(tmp_path):
         read_lts(short)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_read_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "bad.lts"
+    header = struct.pack("<4s5I", b"LTS1", 1, 1, 1, 2, 0)
+    path.write_bytes(header + struct.pack("<2f", 0.5, bad))
+    with pytest.raises(FormatError, match="payload contains non-finite values$"):
+        read_lts(path)
+
+
 def test_write_rejects_non_finite(tmp_path):
     with pytest.raises(ParameterError):
         write_lts(tmp_path / "nan.lts", np.full((1, 1, 2, 2), np.nan))
@@ -142,6 +165,30 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     for _ in range(3):
         save_sequence(path, LatentSequence(np.zeros((1, 1, 2, 2))))
     assert os.listdir(tmp_path) == ["seq.lts"]
+
+
+def test_atomic_write_joins_chunks(tmp_path):
+    path = tmp_path / "chunks.bin"
+    atomic_write_bytes(path, b"ab", memoryview(b"cd"), np.arange(2, dtype="<f4"))
+    assert path.read_bytes() == b"abcd" + np.arange(2, dtype="<f4").tobytes()
+
+
+def test_atomic_write_failed_chunk_keeps_target(tmp_path):
+    path = tmp_path / "target.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(path, b"new", object())  # no buffer: fails mid-write
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["target.bin"]
+
+
+def test_save_sequence_memory_budget(tmp_path):
+    # the float32 payload plus its finiteness mask; no bytes copies of it
+    seq = LatentSequence(RandomSource(10).normal((51, 4, 40, 64)))
+    path = tmp_path / "traj.lts"
+    save_sequence(path, seq)  # warm-up
+    peak = traced_peak(save_sequence, path, seq)
+    assert peak <= 1.5 * seq.data.size * 4
 
 
 def test_sidecar_path():

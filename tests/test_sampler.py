@@ -20,7 +20,7 @@ from latentmix.sampler import (
 )
 from latentmix.synth import OracleSpec, oracle_denoiser
 
-from conftest import DESK_SHAPE
+from conftest import DESK_SHAPE, traced_peak
 
 
 class ZeroDenoiser:
@@ -345,6 +345,54 @@ class TestInversion:
         den = oracle_denoiser(OracleSpec(frames=x0_star[None]), desk_schedule)
         out = ddim_sample(RandomSource(20).normal(DESK_SHAPE), den, desk_schedule)
         assert np.max(np.abs(out - x0_star)) < 1e-5
+
+
+class TestInversionBuffers:
+    """ddim_invert fills one preallocated trajectory and writes into neither
+    its input, nor a row it has handed to the denoiser, nor what the
+    denoiser returns."""
+
+    def test_memory_budget(self):
+        # the trajectory plus a few per-hop temporaries; keeping every hop's
+        # latent and stacking them afterwards costs about twice the trajectory
+        shape, steps = (4, 40, 64), 50
+        s = make_schedule()
+        gen = RandomSource(21)
+        x0 = gen.normal(shape)
+        den = oracle_denoiser(OracleSpec(frames=gen.normal((1, *shape))), s)
+        ddim_invert(x0, den, s, steps)  # warm-up
+        peak = traced_peak(ddim_invert, x0, den, s, steps)
+        assert peak <= (steps + 9) * x0.nbytes
+
+    def test_denoiser_arrays_unchanged(self, desk_schedule):
+        # a denoiser may hand back one cached array and keep the x_t it saw
+        class Caching:
+            def __init__(self, eps):
+                self.eps = eps
+                self.seen = []
+
+            def predict_eps(self, x_t, t):
+                self.seen.append((x_t, x_t.copy()))
+                return self.eps
+
+        eps = RandomSource(22).normal(DESK_SHAPE)
+        kept = eps.copy()
+        den = Caching(eps)
+        ddim_invert(RandomSource(23).normal(DESK_SHAPE), den, desk_schedule, 8)
+        assert np.array_equal(eps, kept)
+        assert len(den.seen) == 8
+        for x_t, at_call in den.seen:
+            assert np.array_equal(x_t, at_call)
+
+    def test_trajectory_is_one_array_apart_from_x0(self, desk_schedule):
+        x0 = RandomSource(24).normal(DESK_SHAPE)
+        kept = x0.copy()
+        steps = 8
+        traj = ddim_invert(x0, MixDenoiser(seed=6), desk_schedule, steps)
+        assert np.array_equal(x0, kept)
+        assert not np.shares_memory(traj.data, x0)
+        assert traj.data.shape == (steps + 1, *DESK_SHAPE)
+        assert traj.data.flags.c_contiguous
 
 
 def reference_step(x, t, t_prev, eps, s, eta, z, state=None):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latentmix.core import RandomSource, forward_diffuse
+from latentmix.core import RandomSource, forward_diffuse, make_schedule
 from latentmix.errors import DomainError, ParameterError
 from latentmix.synth import (
     OracleSpec,
@@ -37,6 +37,15 @@ class TestOracle:
             ab = desk_schedule.alpha_bar[t]
             rec = (x_t - np.sqrt(1.0 - ab) * den.predict_eps(x_t, t)) / np.sqrt(ab)
             assert np.max(np.abs(rec - x0)) < 1e-9
+
+    def test_matches_formula_bit_for_bit(self):
+        s = make_schedule()  # T=1000 default
+        gen = RandomSource(4)
+        x0, x_t = gen.normal(DESK_SHAPE), gen.normal(DESK_SHAPE)
+        den = oracle_denoiser(OracleSpec(frames=x0[None]), s)
+        for t in range(1, s.T + 1):
+            ab = s.alpha_bar[t]
+            assert np.array_equal(den.predict_eps(x_t, t), (x_t - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab))
 
     def test_t0_is_domain_error(self, desk_schedule):
         den = oracle_denoiser(OracleSpec(frames=np.zeros((1, *DESK_SHAPE))), desk_schedule)
