@@ -60,35 +60,28 @@ class LatentSequence:
 
 @dataclasses.dataclass(frozen=True)
 class NoiseSchedule:
-    """Variance schedule: beta[t-1] for t=1..T, alpha_bar[t] for t=0..T.
+    """Variance schedule, held as its cumulative product alpha_bar[t] for
+    t=0..T.
 
-    alpha_bar is the cumulative product of (1 - beta); alpha_bar[0] == 1 and
-    the sequence is strictly decreasing.
+    alpha_bar[0] == 1, the sequence is strictly decreasing and its last
+    value is positive.  That invariant is equivalent to every implied
+    beta_t = 1 - alpha_bar[t] / alpha_bar[t-1] lying in (0, 1).
     """
 
     T: int
-    beta: np.ndarray
     alpha_bar: np.ndarray
-    kind: str
 
     def __post_init__(self):
         if self.T < 1:
             raise ParameterError(f"T must be >= 1, got {self.T}")
-        beta = np.asarray(self.beta, dtype=np.float64)
         ab = np.asarray(self.alpha_bar, dtype=np.float64)
-        if beta.shape != (self.T,) or ab.shape != (self.T + 1,):
-            raise ParameterError("schedule arrays do not match T")
-        if np.any(beta <= 0.0) or np.any(beta >= 1.0):
-            raise ParameterError("beta values must lie in (0, 1)")
+        if ab.shape != (self.T + 1,):
+            raise ParameterError(f"alpha_bar must have shape ({self.T + 1},), got {ab.shape}")
         if ab[0] != 1.0:
             raise ParameterError("alpha_bar[0] must be 1")
-        if np.any(np.diff(ab) >= 0.0):
-            raise ParameterError("alpha_bar must be strictly decreasing")
-        # consistency: alpha_bar[t] / alpha_bar[t-1] == 1 - beta[t]
-        ratio = ab[1:] / ab[:-1]
-        if np.max(np.abs(ratio - (1.0 - beta))) > 1e-12:
-            raise ParameterError("alpha_bar inconsistent with beta")
-        object.__setattr__(self, "beta", beta)
+        # written so that a nan anywhere fails: every comparison with nan is False
+        if not (np.all(np.diff(ab) < 0.0) and ab[-1] > 0.0):
+            raise ParameterError("alpha_bar must be strictly decreasing and positive")
         object.__setattr__(self, "alpha_bar", ab)
 
 
@@ -114,7 +107,7 @@ def make_schedule(
     else:
         beta = np.linspace(beta_start**0.5, beta_end**0.5, T, dtype=np.float64) ** 2
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-    return NoiseSchedule(T=int(T), beta=beta, alpha_bar=alpha_bar, kind=kind)
+    return NoiseSchedule(T=int(T), alpha_bar=alpha_bar)
 
 
 class RandomSource:

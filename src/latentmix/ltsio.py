@@ -3,7 +3,7 @@
 Layout: magic "LTS1", then five little-endian u32 (F, C, H, W, flags), then
 F*C*H*W float32 little-endian values in frame-major, channel, row, column
 order.  Flag bit 0 marks a mask payload: C must be 1 and every value must be
-exactly 0.0 or 1.0.
+exactly 0.0 or 1.0.  No other flag bit is defined, so flags is 0 or 1.
 
 All writers go through an atomic temp-file + rename so a crashed process
 never leaves a half-written file behind.
@@ -11,7 +11,6 @@ never leaves a half-written file behind.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import tempfile
@@ -47,16 +46,10 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def atomic_write_json(path, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
-
-
 def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
     """Serialize a (F, C, H, W) float array; payload is stored as float32."""
+    if not isinstance(flags, (int, np.integer)) or flags not in (0, FLAG_MASK):
+        raise ParameterError(f"LTS flags must be 0 or {FLAG_MASK}, got {flags!r}")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 4 or min(data.shape) < 1:
         raise ParameterError(f"LTS payload must be (F, C, H, W), got shape {data.shape}")
@@ -85,6 +78,8 @@ def read_lts(path) -> tuple[np.ndarray, int]:
     magic, f, c, h, w, flags = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
+    if flags & ~FLAG_MASK:
+        raise FormatError(f"{path}: unknown flag bits {flags:#x}")
     if min(f, c, h, w) < 1:
         raise FormatError(f"{path}: degenerate dimensions ({f}, {c}, {h}, {w})")
     expected = _HEADER.size + 4 * f * c * h * w
@@ -128,9 +123,3 @@ def load_masks(path) -> np.ndarray:
     if not flags & FLAG_MASK:
         raise FormatError(f"{path}: expected mask payload (flag bit 0)")
     return data[:, 0].astype(bool)
-
-
-def sidecar_path(mask_path) -> str:
-    """JSON sidecar path for a mask file: masks.lts -> masks.json."""
-    base, _ = os.path.splitext(os.fspath(mask_path))
-    return base + ".json"

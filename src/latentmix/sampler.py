@@ -237,14 +237,14 @@ def step_grid(T: int, steps: int) -> np.ndarray:
 
 
 def _sweep(name, x, grid, hop):
-    """Apply hop(x, src, dst) between consecutive levels of grid, yielding
-    each output once it is checked finite."""
+    """Apply hop(x, src, dst) between consecutive levels of grid, checking
+    each output finite, and return the last one."""
     levels = grid.tolist()
     for src, dst in zip(levels, levels[1:]):
         x = hop(x, src, dst)
         if not all_finite(x):
             raise NumericError(f"{name} produced non-finite values in the hop {src} -> {dst}")
-        yield x
+    return x
 
 
 def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int) -> LatentSequence:
@@ -274,8 +274,7 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
         width = math.sqrt(1.0 - float(s.alpha_bar[dst]))
         return _latent_hop(x, eps_hat, *_coefficients(s, src, dst), width, out=next(rows))
 
-    for _ in _sweep("ddim_invert", traj[0], grid, hop):
-        pass  # every hop wrote its row of traj
+    _sweep("ddim_invert", traj[0], grid, hop)  # every hop writes its row of traj
     return LatentSequence(traj)
 
 
@@ -297,6 +296,4 @@ def ddim_sample(
     def hop(x, t, t_prev):
         return _latent_hop(x, *_reverse_terms(x, t, denoiser, s, eta, rng, t_prev))
 
-    for x in _sweep("ddim_sample", x, grid[::-1], hop):
-        pass  # only the last latent is kept
-    return x
+    return _sweep("ddim_sample", x, grid[::-1], hop)

@@ -90,7 +90,7 @@ def moving_square_scene(
         row = min(max(k * dy, 0), hi)
         masks[k, row : row + square, col : col + square] = True
         data[k, :, row : row + square, col : col + square] = value
-    track = MaskTrack(masks=masks, linked=(True,) * frames, tau=0.0)
+    track = MaskTrack(masks=masks, linked=(True,) * frames)
     return LatentSequence(data), track
 
 

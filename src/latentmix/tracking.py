@@ -9,7 +9,7 @@ so one bad segmentation cannot yank the region across the scene.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 from scipy import ndimage
@@ -33,7 +33,6 @@ class MaskTrack:
 
     masks: np.ndarray  # (F, H, W) bool
     linked: tuple[bool, ...]
-    tau: float
     degenerate: bool = False
 
     def __post_init__(self):
@@ -102,10 +101,10 @@ class OverlapTracker:
     the exact linking rule with batch track_masks().
     """
 
-    def __init__(self, segmenter: Segmenter | Callable[[np.ndarray], np.ndarray], tau: float):
+    def __init__(self, segmenter: Segmenter, tau: float):
         if not (0.0 <= tau <= 1.0):
             raise ParameterError(f"tau must lie in [0, 1], got {tau}")
-        self._segment = segmenter.segment if hasattr(segmenter, "segment") else segmenter
+        self._segment = segmenter.segment
         self.tau = tau
         self.masks: list[np.ndarray] = []
         self.linked: list[bool] = []
@@ -132,7 +131,6 @@ class OverlapTracker:
         return MaskTrack(
             masks=np.stack(self.masks),
             linked=tuple(self.linked),
-            tau=self.tau,
             degenerate=self.degenerate,
         )
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from latentmix.core import (
     LatentSequence,
+    NoiseSchedule,
     RandomSource,
     all_finite,
     check_latent,
@@ -21,9 +22,8 @@ AB_T_LINEAR_DEFAULT = 0.0015789629305514416
 AB_T_DESK = 7.657476882814012e-05
 
 
-def oracle_alpha_bar(T, beta_start, beta_end, kind):
-    ab = [1.0]
-    acc = 1.0
+def oracle_beta(T, beta_start, beta_end, kind):
+    betas = []
     for i in range(T):
         if T == 1:
             b = beta_start
@@ -31,6 +31,14 @@ def oracle_alpha_bar(T, beta_start, beta_end, kind):
             b = beta_start + (beta_end - beta_start) * i / (T - 1)
         else:
             b = (math.sqrt(beta_start) + (math.sqrt(beta_end) - math.sqrt(beta_start)) * i / (T - 1)) ** 2
+        betas.append(b)
+    return np.array(betas)
+
+
+def oracle_alpha_bar(T, beta_start, beta_end, kind):
+    ab = [1.0]
+    acc = 1.0
+    for b in oracle_beta(T, beta_start, beta_end, kind):
         acc *= 1.0 - b
         ab.append(acc)
     return np.array(ab)
@@ -45,7 +53,6 @@ class TestMakeSchedule:
     def test_default_terminal_value(self):
         s = make_schedule()
         assert s.T == 1000
-        assert s.kind == "scaled_linear"
         assert abs(s.alpha_bar[-1] - AB_T_SCALED_LINEAR_DEFAULT) < 1e-15
         assert s.alpha_bar[-1] < 0.01
 
@@ -87,11 +94,44 @@ class TestMakeSchedule:
         kind=st.sampled_from(["linear", "scaled_linear"]),
     )
     def test_consistency_property(self, T, start, spread, kind):
-        # alpha_bar[t] / alpha_bar[t-1] == 1 - beta[t] within 1e-12
-        s = make_schedule(T, start, min(start + spread, 0.9), kind)
+        # alpha_bar[t] / alpha_bar[t-1] == 1 - beta[t] within 1e-12, beta
+        # being the recipe's
+        end = min(start + spread, 0.9)
+        s = make_schedule(T, start, end, kind)
         ratio = s.alpha_bar[1:] / s.alpha_bar[:-1]
-        assert np.max(np.abs(ratio - (1.0 - s.beta))) <= 1e-12
+        assert np.max(np.abs(ratio - (1.0 - oracle_beta(T, start, end, kind)))) <= 1e-12
         assert s.alpha_bar[0] == 1.0
+
+
+class TestNoiseSchedule:
+    def test_direct_construction(self):
+        s = NoiseSchedule(T=2, alpha_bar=[1.0, 0.9, 0.81])
+        assert s.alpha_bar.dtype == np.float64
+        assert s.alpha_bar.tolist() == [1.0, 0.9, 0.81]
+
+    @pytest.mark.parametrize(
+        "alpha_bar",
+        [
+            [0.99, 0.9, 0.81],  # alpha_bar[0] != 1
+            [1.0, 0.9, 0.9],  # flat step
+            [1.0, 0.8, 0.9],  # rising step
+            [1.0, 1.0, 0.9],  # flat first step: beta_1 = 0
+            [1.0, 0.9, 0.0],  # zero last value
+            [1.0, 0.9, -0.1],  # negative last value
+            [np.nan, 0.9, 0.81],
+            [1.0, np.nan, 0.81],
+            [1.0, 0.9, np.nan],
+            [1.0, 0.9],  # length T
+            [1.0, 0.9, 0.81, 0.7],  # length T + 2
+        ],
+    )
+    def test_rejects_bad_alpha_bar(self, alpha_bar):
+        with pytest.raises(ParameterError):
+            NoiseSchedule(T=2, alpha_bar=alpha_bar)
+
+    def test_rejects_bad_horizon(self):
+        with pytest.raises(ParameterError):
+            NoiseSchedule(T=0, alpha_bar=[1.0])
 
 
 class TestRandomSource:

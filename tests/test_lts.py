@@ -17,7 +17,6 @@ from latentmix.ltsio import (
     read_lts,
     save_masks,
     save_sequence,
-    sidecar_path,
     write_lts,
 )
 
@@ -75,6 +74,23 @@ def test_mask_flag_enforced_on_write(tmp_path):
         write_lts(tmp_path / "x.lts", np.full((1, 2, 2, 2), 1.0), flags=FLAG_MASK)  # C != 1
     with pytest.raises(ParameterError):
         write_lts(tmp_path / "y.lts", np.full((1, 1, 2, 2), 0.5), flags=FLAG_MASK)  # non-binary
+
+
+@pytest.mark.parametrize("flags", [-1, 2, 6, 2**32])
+def test_write_rejects_undefined_flags(tmp_path, flags):
+    # only 0 and FLAG_MASK are defined; nothing may reach the disk
+    path = tmp_path / "f.lts"
+    with pytest.raises(ParameterError, match="flags"):
+        write_lts(path, np.zeros((1, 1, 2, 2)), flags=flags)
+    assert not path.exists()
+
+
+def test_read_rejects_undefined_flags(tmp_path):
+    path = tmp_path / "f2.lts"
+    header = struct.pack("<4s5I", b"LTS1", 1, 1, 1, 1, 2)
+    path.write_bytes(header + struct.pack("<f", 0.0))
+    with pytest.raises(FormatError, match="unknown flag bits"):
+        read_lts(path)
 
 
 def test_mask_flag_enforced_on_read(tmp_path):
@@ -189,7 +205,3 @@ def test_save_sequence_memory_budget(tmp_path):
     save_sequence(path, seq)  # warm-up
     peak = traced_peak(save_sequence, path, seq)
     assert peak <= 1.5 * seq.data.size * 4
-
-
-def test_sidecar_path():
-    assert sidecar_path("/a/b/masks.lts") == "/a/b/masks.json"

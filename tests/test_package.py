@@ -1,8 +1,11 @@
 """Package hygiene: no dead top-level imports, no unreferenced private
-functions or classes, no dangling script entries."""
+functions or classes, no dangling script entries, and declared
+dependencies that match what the package imports."""
 
 import ast
 import importlib
+import importlib.metadata
+import re
 import sys
 from pathlib import Path
 
@@ -63,3 +66,33 @@ def test_script_entry_points_resolve():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r} -> {target} is not callable"
+
+
+def third_party_imports() -> set[str]:
+    """Top-level names of the absolute, non-stdlib imports in the package."""
+    names = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {name for name in names if name not in sys.stdlib_module_names}
+
+
+def normalize(dist: str) -> str:
+    return re.sub(r"[-_.]+", "-", dist).lower()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_dependencies_match_imports():
+    import tomllib
+
+    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    declared = {normalize(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in declared}
+    dists = importlib.metadata.packages_distributions()
+    imported = {name: {normalize(d) for d in dists.get(name, ())} for name in third_party_imports()}
+    undeclared = sorted(name for name, owners in imported.items() if not owners & declared)
+    assert undeclared == [], "imported but not declared in [project] dependencies"
+    unused = sorted(declared - set().union(*imported.values()))
+    assert unused == [], "declared in [project] dependencies but imported by no module"

@@ -17,6 +17,13 @@ from latentmix.tracking import (
 )
 
 
+class IdentitySegmenter:
+    """Segmenter for tests whose frames already are masks."""
+
+    def segment(self, x):
+        return x
+
+
 def square_mask(grid, row, col, side):
     m = np.zeros((grid, grid), dtype=bool)
     m[row : row + side, col : col + side] = True
@@ -213,7 +220,7 @@ class TestTrackMasks:
         t2 = data.draw(st.floats(min_value=t1, max_value=1.0))
         decisions = []
         for tau in (t1, t2):
-            tracker = OverlapTracker(lambda m: m, tau)
+            tracker = OverlapTracker(IdentitySegmenter(), tau)
             tracker.update(prev)
             decisions.append(tracker.update(cand)[1])
         lo, hi = decisions
@@ -237,9 +244,9 @@ class TestTrackMasks:
 class TestMaskTrack:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            MaskTrack(masks=np.zeros((2, 4, 4), dtype=bool), linked=(True,), tau=0.5)
+            MaskTrack(masks=np.zeros((2, 4, 4), dtype=bool), linked=(True,))
         with pytest.raises(ParameterError):
-            MaskTrack(masks=np.zeros((4, 4), dtype=bool), linked=(True,), tau=0.5)
+            MaskTrack(masks=np.zeros((4, 4), dtype=bool), linked=(True,))
 
     def test_tracker_export(self):
         tracker = OverlapTracker(ThresholdSegmenter(0.5), tau=0.5)
