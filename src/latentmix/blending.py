@@ -11,6 +11,7 @@ level) and replacing the rest with fresh noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -72,24 +73,28 @@ def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> n
     return x_mix + p.gamma * rng.normal(x_mix.shape)
 
 
+@functools.lru_cache(maxsize=16)
 def lowpass_mask(h: int, w: int, cutoff: float) -> np.ndarray:
     """Ideal square low-pass over unshifted FFT indices.
 
     Keeps frequencies with max(|u|, |v|) <= cutoff * min(h, w); cutoff 0.5
     therefore covers every frequency of an even square grid, and cutoff 0
-    is the empty mask by convention.
+    is the empty mask by convention.  The mask is built once per
+    (h, w, cutoff) and shared by every caller, so it is read-only.
     """
     if not (0.0 <= cutoff <= 0.5):
         raise ParameterError(f"cutoff must lie in [0, 0.5], got {cutoff}")
     if h < 1 or w < 1:
         raise ParameterError("mask dimensions must be >= 1")
     if cutoff == 0.0:
-        return np.zeros((h, w))
-    radius = cutoff * min(h, w)
-    fu = np.abs(np.fft.fftfreq(h) * h)
-    fv = np.abs(np.fft.fftfreq(w) * w)
-    keep = (fu[:, None] <= radius) & (fv[None, :] <= radius)
-    return keep.astype(np.float64)
+        mask = np.zeros((h, w))
+    else:
+        radius = cutoff * min(h, w)
+        fu = np.abs(np.fft.fftfreq(h) * h)
+        fv = np.abs(np.fft.fftfreq(w) * w)
+        mask = ((fu[:, None] <= radius) & (fv[None, :] <= radius)).astype(np.float64)
+    mask.flags.writeable = False
+    return mask
 
 
 def reinit_tail_noise(

@@ -8,6 +8,7 @@ a run is a pure function of its seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -23,8 +24,15 @@ DEFAULT_BETA_END = 0.012
 
 
 def all_finite(x: np.ndarray) -> bool:
-    """True when no element of x is inf or nan."""
-    return bool(np.isfinite(x).all())
+    """True when no element of x is inf or nan.
+
+    A finite sum of squares implies finite elements, so one BLAS dot
+    product with no temporary settles the common case.  Only when it is not
+    finite (a non-finite element, or a sum that overflows: |x| beyond about
+    1e154 in float64, 1e19 in float32) does the elementwise scan decide.
+    np.vdot, unlike np.dot, does not warn when the sum overflows.
+    """
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
 def check_latent(x, name: str = "latent") -> np.ndarray:
@@ -72,6 +80,8 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
+            raise ParameterError(f"T must be an integer, got {self.T!r}")
         if self.T < 1:
             raise ParameterError(f"T must be >= 1, got {self.T}")
         ab = np.asarray(self.alpha_bar, dtype=np.float64)
@@ -96,7 +106,7 @@ def make_schedule(
     kind "linear" interpolates beta directly; "scaled_linear" interpolates
     in sqrt(beta) space and squares, which front-loads smaller betas.
     """
-    if not isinstance(T, (int, np.integer)) or T < 1:
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
         raise ParameterError(f"T must be a positive integer, got {T!r}")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ParameterError(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")

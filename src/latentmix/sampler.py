@@ -15,22 +15,29 @@ stays inert early and grows as structure settles.  A vanilla DDIM step is
 momentum_step with kappa0 = 0: the correction is skipped and v' never feeds
 x_prev, so the step emits exactly the DDIM latent.
 
-Both step bodies are linear maps of x_t, eps_hat, the velocity v and the
-scaled noise n = sigma_t * z, with scalar coefficients computed once per
-hop:
+With scalar coefficients computed once per hop
 
     A = 1 / sqrt(ab_t)           B = -sqrt(1 - ab_t) * A
     P = sqrt(ab_prev)            D = sqrt(max(1 - ab_prev - sigma_t^2, 0))
+    w = 1 - beta                 cx = w * (1 - P*A)
+    ce = w * ((lam - 1) * D - P*B)
 
-The momentum map (momentum_step) writes every output:
+the momentum step (momentum_step) is a 2 x k matrix applied to the stacked
+operands x_t, eps_hat, the scaled noise n = sigma_t * z and the velocity v:
 
-    x0     = A * x_t + B * eps_hat
-    dir_t  = D * eps_hat
-    v'     = beta * v + (1 - beta) * g_t
-           = beta * v + (1 - beta) * ((1 - P*A) * x_t
-                                      + ((lam - 1) * D - P*B) * eps_hat - n)
-    x0_hat = x0 + kappa * v'
-    x_prev = P * x0_hat + dir_t + n
+               x_t                  eps_hat                n              v
+    x_prev  [ P*(A + kappa*cx)   P*(B + kappa*ce) + D   1 - P*kappa*w   P*kappa*beta ]
+    v'      [ cx                 ce                     -w              beta         ]
+
+    x0_hat  [ A + kappa*cx       B + kappa*ce           -kappa*w        kappa*beta   ]
+
+The v' row is beta * v + (1 - beta) * g_t written out, and the x_prev row
+is P times the x0_hat row plus dir_t + n.  The step copies its operands
+into one (k, C*H*W) block, the n column only when sigma_t > 0, and emits
+x_prev and v' with one matrix product.  x0_hat is its row applied to the
+same block, computed the first time it is read.  With kappa = 0 the
+x_prev and x0_hat rows leave the v column out (it is last for that
+reason), so even a non-finite v cannot reach them: 0 * nan is nan.
 
 The latent-only hop (ddim_sample, ddim_invert) keeps nothing but the latent
 and folds the emission into two coefficients:
@@ -41,13 +48,15 @@ The inversion hop is that map with the target level's P = sqrt(ab_next) and
 D = sqrt(1 - ab_next) and no noise.  Both sweeps walk their sub-grid through
 one loop that checks every hop's output and raises NumericError naming the
 hop.  Folding the divisions and the provisional emission into coefficients
-re-associates the arithmetic: at unit scale the outputs match the formulas
+re-associates the arithmetic, and the BLAS kernel behind the matrix product
+picks its own summation order: at unit scale the outputs match the formulas
 above to a few ulps (tested to 1e-12), not bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Protocol
 
@@ -63,11 +72,22 @@ class Denoiser(Protocol):
 
 @dataclasses.dataclass(frozen=True)
 class StepOutput:
-    """Result of one reverse step."""
+    """Result of one reverse step: the emitted latent x_prev and the
+    (corrected) x0 estimate x0_hat.
+
+    x0_hat is computed on first read, as one row of the step's linear map
+    applied to the operand block the step keeps, and then cached; a step
+    whose estimate nobody reads never computes it.
+    """
 
     x_prev: np.ndarray
-    x0_hat: np.ndarray
-    dir: np.ndarray
+    _terms: np.ndarray = dataclasses.field(repr=False)
+    _x0_row: list[float] = dataclasses.field(repr=False)
+
+    @functools.cached_property
+    def x0_hat(self) -> np.ndarray:
+        row = np.array(self._x0_row)
+        return (row @ self._terms[: len(row)]).reshape(self.x_prev.shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,10 +214,9 @@ def momentum_step(
     velocity buffer, then emits from the corrected x0 estimate; one noise
     sample serves both the drift and the emission.  The provisional
     emission is never materialised: the step is the momentum map of the
-    module docstring, one numpy pass per array term into an output or the
-    single scratch buffer.  With kappa0 = 0 this is the vanilla DDIM step.
-    state is not modified; the updated velocity comes back in a new
-    MomentumState.
+    module docstring, one matrix product over a copy of its operands.  With
+    kappa0 = 0 this is the vanilla DDIM step.  state is not modified; the
+    updated velocity comes back in a new MomentumState.
     """
     x_t = check_latent(x_t, "x_t")
     if state.T != s.T:
@@ -206,24 +225,26 @@ def momentum_step(
         raise ParameterError(f"state velocity shape {state.v.shape} does not match latent {x_t.shape}")
     eps, a, b, p, width, noise = _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev)
     kappa = kappa_at(t, state.T, state.kappa0)
-    x0 = np.multiply(x_t, a)
-    scratch = np.multiply(eps, b)
-    x0 += scratch
-    direction = np.multiply(eps, width)
-    w = 1.0 - state.beta
-    v = np.multiply(state.v, state.beta)
-    v += np.multiply(x_t, w * (1.0 - p * a), out=scratch)
-    v += np.multiply(eps, w * ((state.lam - 1.0) * width - p * b), out=scratch)
-    if noise is not None:
-        v -= np.multiply(noise, w, out=scratch)
-    if kappa != 0.0:
-        x0 += np.multiply(v, kappa, out=scratch)
-    x_prev = np.multiply(x0, p, out=scratch)
-    x_prev += direction
-    if noise is not None:
-        x_prev += noise
-    out = StepOutput(x_prev=x_prev, x0_hat=x0, dir=direction)
-    return out, MomentumState(v=v, beta=state.beta, lam=state.lam, kappa0=state.kappa0, T=state.T)
+    beta, w = state.beta, 1.0 - state.beta
+    cx, ce = w * (1.0 - p * a), w * ((state.lam - 1.0) * width - p * b)
+    # columns x_t, eps_hat, n, v
+    x0_row = [a + kappa * cx, b + kappa * ce, -kappa * w, kappa * beta]
+    v_row = [cx, ce, -w, beta]
+    x_row = [p * x0_row[0], p * x0_row[1] + width, 1.0 + p * x0_row[2], p * x0_row[3]]
+    operands = [x_t, eps, noise, state.v]
+    if noise is None:
+        for row in (x0_row, v_row, x_row, operands):
+            del row[2]
+    terms = np.concatenate(operands).reshape(len(operands), -1)
+    coef = np.array([x_row, v_row])
+    if kappa == 0.0:
+        # a zero coefficient would still let 0 * nan through: leave v out
+        x_prev, v = coef[0, :-1] @ terms[:-1], coef[1] @ terms
+        del x0_row[-1]
+    else:
+        x_prev, v = coef @ terms
+    out = StepOutput(x_prev.reshape(x_t.shape), terms, x0_row)
+    return out, MomentumState(v=v.reshape(x_t.shape), beta=beta, lam=state.lam, kappa0=state.kappa0, T=state.T)
 
 
 def step_grid(T: int, steps: int) -> np.ndarray:

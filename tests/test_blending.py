@@ -141,6 +141,19 @@ class TestLowpassMask:
         # symmetric under frequency negation
         assert np.array_equal(m, np.roll(np.flip(m, axis=(0, 1)), (1, 1), axis=(0, 1)))
 
+    @pytest.mark.parametrize("cutoff", [0.0, 0.25])
+    def test_cached_mask_is_read_only(self, cutoff):
+        # one mask per (h, w, cutoff) is shared by every caller, so no
+        # caller may write into it
+        m = lowpass_mask(8, 8, cutoff)
+        kept = m.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            m *= 2.0
+        assert lowpass_mask(8, 8, cutoff) is m
+        assert np.array_equal(m, kept)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             lowpass_mask(8, 8, 0.6)

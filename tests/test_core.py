@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,19 @@ class TestNoiseSchedule:
         with pytest.raises(ParameterError):
             NoiseSchedule(T=0, alpha_bar=[1.0])
 
+    @pytest.mark.parametrize("T, alpha_bar", [(2.0, [1.0, 0.9, 0.81]), (True, [1.0, 0.9])])
+    def test_rejects_non_integer_horizon(self, T, alpha_bar):
+        # each alpha_bar has the length T + 1 would give, so only the type check can reject it
+        with pytest.raises(ParameterError, match=r"^T must be an integer, got (2\.0|True)$"):
+            NoiseSchedule(T=T, alpha_bar=alpha_bar)
+        with pytest.raises(ParameterError, match="^T must be a positive integer"):
+            make_schedule(T=T)
+
+    def test_numpy_integer_horizon_accepted(self):
+        s = NoiseSchedule(T=np.int64(2), alpha_bar=[1.0, 0.9, 0.81])
+        x = forward_diffuse(np.ones((1, 2, 2)), s.T, s, RandomSource(0))
+        assert np.all(np.isfinite(x))
+
 
 class TestRandomSource:
     def test_same_seed_bit_identical(self):
@@ -239,6 +253,44 @@ class TestAllFinite:
     def test_sequence_accepts_overflowing_sums(self):
         big = np.full((4, 8, 8), 1e308)
         assert len(LatentSequence(np.stack([big, -big]))) == 2
+
+    @pytest.mark.parametrize("value", [1e200, 1e308, -1e308])
+    def test_large_values_accepted_without_warnings(self, value):
+        # the sum of squares overflows, which must neither warn nor reject
+        x = np.full((4, 8, 8), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all_finite(x)
+            assert check_latent(x) is x
+            assert len(LatentSequence(x[None])) == 1
+
+    def test_non_contiguous_view_accepted_without_warnings(self):
+        # strided views of unit-scale rows and of rows whose sum of squares overflows
+        x = RandomSource(3).normal((4, 16, 16))
+        x[:, ::2] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for view in (x[:, 1::2, ::3], x[:, ::2, 1::3]):
+                assert not view.flags.c_contiguous
+                assert all_finite(view)
+                assert np.array_equal(check_latent(view), view)
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "pair", "big and nan"])
+    def test_rejections_keep_their_messages_without_warnings(self, bad):
+        x = np.full((2, 3, 4), 1e300 if bad == "big and nan" else 0.5)
+        if bad == "inf":
+            x[1, 2, 3] = np.inf
+        elif bad == "pair":
+            x[0, 0, 0], x[1, 1, 1] = np.inf, -np.inf
+        else:
+            x[0, 1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not all_finite(x)
+            with pytest.raises(ParameterError, match="^x0 contains non-finite values$"):
+                check_latent(x, "x0")
+            with pytest.raises(ParameterError, match="^sequence contains non-finite values$"):
+                LatentSequence(x[None])
 
 
 class TestContainers:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,20 @@ def test_accepted_payload_reads_back(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("lts") / "seq.lts"
     write_lts(path, data)
     back, flags = read_lts(path)
+    assert flags == 0
+    assert np.array_equal(back, data.astype(np.float32).astype(np.float64))
+
+
+def test_payload_whose_float32_sum_of_squares_overflows_reads_back(tmp_path):
+    # (1e20)^2 is beyond float32, so the finiteness scan's dot product
+    # overflows on write and on read; neither may warn or reject
+    data = np.full((2, 1, 3, 4), 1e20)
+    data[1] = -3e20
+    path = tmp_path / "big.lts"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_lts(path, data)
+        back, flags = read_lts(path)
     assert flags == 0
     assert np.array_equal(back, data.astype(np.float32).astype(np.float64))
 
