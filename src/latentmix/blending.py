@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -28,8 +29,8 @@ class BlendParams:
     strength: float = 2.0
 
     def __post_init__(self):
-        if self.strength < 0.0:
-            raise ParameterError(f"strength must be >= 0, got {self.strength}")
+        if not (0.0 <= self.strength < math.inf):
+            raise ParameterError(f"strength must be finite and >= 0, got {self.strength}")
 
     @property
     def weight(self) -> float:
@@ -43,8 +44,8 @@ class ResidualParams:
     gamma: float = 0.05
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ParameterError(f"gamma must be >= 0, got {self.gamma}")
+        if not (0.0 <= self.gamma < math.inf):
+            raise ParameterError(f"gamma must be finite and >= 0, got {self.gamma}")
 
 
 def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendParams) -> np.ndarray:

@@ -1,18 +1,26 @@
 """Run configuration: strict JSON parsing with full-field validation.
 
 Unknown keys are rejected rather than ignored so a typo cannot silently
-fall back to a default.  The accepted keys and each value's type come from
-the dataclass fields below; only "lambda" (sampler.lam) is renamed.
-dump_config(parse_config(x)) round-trips.
+fall back to a default.  The accepted keys come from the dataclass fields
+below; only "lambda" (sampler.lam) is renamed.  dump_config(parse_config(x))
+round-trips.
+
+A config parse_config accepts is one the library accepts: every number is
+finite (JSON's Infinity and NaN fail) and bool is never a number; the
+schedule is checked by building it with make_schedule, so one whose
+alpha_bar underflows to 0 fails here; every other field lies in the range
+its consumer accepts, sampler.eta in [0, 1] among them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import sys
 
-from .core import DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, SCHEDULE_KINDS
-from .errors import ConfigError
+from .core import DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, make_schedule
+from .errors import ConfigError, ParameterError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,14 +66,6 @@ class RunConfig:
 # dataclass field -> JSON key, where they differ ("lambda" is reserved in Python)
 _JSON_KEYS = {"lam": "lambda"}
 
-# annotation -> (accepts, description); bool is an int subclass but never a
-# valid count, seed or weight
-_KINDS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-}
-
 
 def _is_section(field: dataclasses.Field) -> bool:
     # a section field's default factory is the section's own dataclass
@@ -102,46 +102,42 @@ def parse_config(source: str | dict) -> RunConfig:
     return cfg
 
 
-def _require(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
-
-
-def _check_types(obj, prefix: str = "") -> None:
-    """Check every field against its annotation, descending into sections."""
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        key = prefix + _JSON_KEYS.get(field.name, field.name)
-        if _is_section(field):
-            _require(isinstance(value, field.default_factory), f"{key} must be a {field.type}, got {value!r}")
-            _check_types(value, key + ".")
-        else:
-            accepts, what = _KINDS[field.type]
-            _require(accepts(value), f"{key} must be {what}, got {value!r}")
+def _check(value, key: str, lo=-math.inf, hi=math.inf, integer: bool = False) -> None:
+    """Reject value unless it is a finite number in [lo, hi], and an integer
+    when integer is set."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    # nan fails every comparison; an int beyond the float range is no finite float either
+    if not (-sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    if not (lo <= value <= hi):
+        raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {value!r}")
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    _check_types(cfg)
+    for field in dataclasses.fields(cfg):
+        if _is_section(field) and not isinstance(getattr(cfg, field.name), field.default_factory):
+            raise ConfigError(f"{field.name} must be a {field.type}, got {getattr(cfg, field.name)!r}")
     s, sa, inj, q = cfg.schedule, cfg.sampler, cfg.injection, cfg.queue
-    _require(s.T >= 1, f"schedule.T must be a positive integer, got {s.T!r}")
-    _require(
-        0.0 < s.beta_start <= s.beta_end < 1.0,
-        f"schedule betas must satisfy 0 < beta_start <= beta_end < 1, got ({s.beta_start}, {s.beta_end})",
-    )
-    _require(s.kind in SCHEDULE_KINDS, f"schedule.kind must be one of {SCHEDULE_KINDS}, got {s.kind!r}")
-    _require(sa.eta >= 0.0, f"sampler.eta must be >= 0, got {sa.eta}")
-    _require(0.0 <= sa.beta <= 1.0, f"sampler.beta must lie in [0, 1], got {sa.beta}")
-    _require(sa.lam >= 0.0, f"sampler.lambda must be >= 0, got {sa.lam}")
-    _require(sa.kappa0 >= 0.0, f"sampler.kappa0 must be >= 0, got {sa.kappa0}")
-    _require(0 < inj.t_prime < s.T, f"injection.t_prime must be an integer in (0, {s.T}), got {inj.t_prime!r}")
-    _require(inj.strength >= 0.0, f"injection.strength must be >= 0, got {inj.strength}")
-    _require(inj.gamma_res >= 0.0, f"injection.gamma_res must be >= 0, got {inj.gamma_res}")
-    _require(0.0 <= inj.tau <= 1.0, f"injection.tau must lie in [0, 1], got {inj.tau}")
-    _require(0.0 <= inj.cutoff <= 0.5, f"injection.cutoff must lie in [0, 0.5], got {inj.cutoff}")
-    _require(q.length >= 1, f"queue.length must be a positive integer, got {q.length!r}")
-    _require(q.length <= s.T, f"queue.length ({q.length}) cannot exceed schedule.T ({s.T})")
-    _require(q.frames >= 1, f"queue.frames must be a positive integer, got {q.frames!r}")
-    _require(cfg.seed >= 0, f"seed must be a nonnegative integer, got {cfg.seed!r}")
+    _check(s.T, "schedule.T", integer=True)
+    _check(s.beta_start, "schedule.beta_start")
+    _check(s.beta_end, "schedule.beta_end")
+    try:
+        make_schedule(s.T, s.beta_start, s.beta_end, s.kind)
+    except ParameterError as e:
+        raise ConfigError(f"schedule: {e}") from e
+    _check(sa.eta, "sampler.eta", 0.0, 1.0)
+    _check(sa.beta, "sampler.beta", 0.0, 1.0)
+    _check(sa.lam, "sampler.lambda", 0.0)
+    _check(sa.kappa0, "sampler.kappa0", 0.0)
+    _check(inj.t_prime, "injection.t_prime", 1, s.T - 1, integer=True)
+    _check(inj.strength, "injection.strength", 0.0)
+    _check(inj.gamma_res, "injection.gamma_res", 0.0)
+    _check(inj.tau, "injection.tau", 0.0, 1.0)
+    _check(inj.cutoff, "injection.cutoff", 0.0, 0.5)
+    _check(q.length, "queue.length", 1, s.T, integer=True)
+    _check(q.frames, "queue.frames", 1, integer=True)
+    _check(cfg.seed, "seed", 0, integer=True)
     return cfg
 
 

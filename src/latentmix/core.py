@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ParameterError
 
-SCHEDULE_KINDS = ("linear", "scaled_linear")
-
 # scaled_linear over 1000 steps with this beta range is the common latent
 # diffusion operating point; used as the config default.
 DEFAULT_T = 1000
@@ -43,6 +41,18 @@ def check_latent(x, name: str = "latent") -> np.ndarray:
     if not all_finite(x):
         raise ParameterError(f"{name} contains non-finite values")
     return x
+
+
+def check_level(t, lo, hi, name) -> int:
+    """Return the level, count or horizon t as an int in [lo, hi].  An int
+    or numpy integer passes; a bool or a float never does."""
+    if type(t) is not int:
+        if not isinstance(t, np.integer):
+            raise ParameterError(f"{name} must be an integer, got {t!r}")
+        t = int(t)
+    if lo <= t <= hi:
+        return t
+    raise ParameterError(f"{name} must lie in [{lo}, {hi}], got {t}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,25 +83,25 @@ class NoiseSchedule:
 
     alpha_bar[0] == 1, the sequence is strictly decreasing and its last
     value is positive.  That invariant is equivalent to every implied
-    beta_t = 1 - alpha_bar[t] / alpha_bar[t-1] lying in (0, 1).
+    beta_t = 1 - alpha_bar[t] / alpha_bar[t-1] lying in (0, 1).  The schedule
+    keeps a read-only copy of alpha_bar, so the invariant holds for its life.
     """
 
     T: int
     alpha_bar: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.T, bool) or not isinstance(self.T, (int, np.integer)):
-            raise ParameterError(f"T must be an integer, got {self.T!r}")
-        if self.T < 1:
-            raise ParameterError(f"T must be >= 1, got {self.T}")
-        ab = np.asarray(self.alpha_bar, dtype=np.float64)
-        if ab.shape != (self.T + 1,):
-            raise ParameterError(f"alpha_bar must have shape ({self.T + 1},), got {ab.shape}")
+        T = check_level(self.T, 1, math.inf, "T")
+        ab = np.array(self.alpha_bar, dtype=np.float64)
+        if ab.shape != (T + 1,):
+            raise ParameterError(f"alpha_bar must have shape ({T + 1},), got {ab.shape}")
         if ab[0] != 1.0:
             raise ParameterError("alpha_bar[0] must be 1")
         # written so that a nan anywhere fails: every comparison with nan is False
         if not (np.all(np.diff(ab) < 0.0) and ab[-1] > 0.0):
             raise ParameterError("alpha_bar must be strictly decreasing and positive")
+        ab.flags.writeable = False
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "alpha_bar", ab)
 
 
@@ -106,18 +116,17 @@ def make_schedule(
     kind "linear" interpolates beta directly; "scaled_linear" interpolates
     in sqrt(beta) space and squares, which front-loads smaller betas.
     """
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
-        raise ParameterError(f"T must be a positive integer, got {T!r}")
+    T = check_level(T, 1, math.inf, "T")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ParameterError(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
-    if kind not in SCHEDULE_KINDS:
+    if kind not in ("linear", "scaled_linear"):
         raise ParameterError(f"unknown schedule kind {kind!r}")
     if kind == "linear":
         beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
     else:
         beta = np.linspace(beta_start**0.5, beta_end**0.5, T, dtype=np.float64) ** 2
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-    return NoiseSchedule(T=int(T), alpha_bar=alpha_bar)
+    return NoiseSchedule(T=T, alpha_bar=alpha_bar)
 
 
 class RandomSource:
@@ -130,9 +139,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-        self.seed = int(seed)
+        self.seed = check_level(seed, 0, math.inf, "seed")
         self.path = tuple(int(k) for k in _path)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.PCG64(ss))
@@ -158,8 +165,6 @@ def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource)
     output equals x0 exactly.
     """
     x0 = check_latent(x0, "x0")
-    if not (0 <= t <= s.T):
-        raise ParameterError(f"t must lie in [0, {s.T}], got {t}")
-    ab = s.alpha_bar[t]
+    ab = s.alpha_bar[check_level(t, 0, s.T, "t")]
     eps = rng.normal(x0.shape)
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps

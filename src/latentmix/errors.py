@@ -6,19 +6,13 @@ ArithmeticError) without importing this module.
 
 
 class ParameterError(ValueError):
-    """An argument violates an operation's precondition."""
-
-
-class SingularScheduleError(ParameterError):
-    """A noise schedule value makes the requested operation singular."""
-
-
-class DomainError(ParameterError):
-    """A query lies outside the domain an object is defined on."""
+    """An argument violates an operation's precondition (a level that is not
+    an integer in range, a weight that is not finite, eta outside [0, 1])."""
 
 
 class DegenerateTrackError(RuntimeError):
-    """A mask was required but no usable track is available."""
+    """A mask was required but no usable track is available.  Nothing raises
+    it until the edit runs as one library call."""
 
 
 class NumericError(ArithmeticError):
@@ -30,4 +24,5 @@ class FormatError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A run configuration failed validation."""
+    """A run configuration is malformed, or holds a value that the library
+    call consuming it would reject."""

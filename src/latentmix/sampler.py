@@ -7,13 +7,21 @@ One reverse step from level t to t_prev:
     x_prev = sqrt(ab_prev) * x0_hat + dir_t + sigma_t * noise
 
 with ab the cumulative alpha product and sigma_t the usual eta-scaled
-stochastic width.  The momentum step recomputes the emission from a
-corrected x0 estimate: a velocity buffer accumulates the per-step drift
-g_t = x_t - x_prev_ddim + lam * dir_t and is folded back in with a weight
-kappa that ramps linearly from 0 at t=T to kappa0 at t=0, so the correction
-stays inert early and grows as structure settles.  A vanilla DDIM step is
-momentum_step with kappa0 = 0: the correction is skipped and v' never feeds
-x_prev, so the step emits exactly the DDIM latent.
+stochastic width, eta in [0, 1]:
+
+    sigma_t^2 = eta^2 * (1 - ab_prev) * (1 - ab_t / ab_prev) / (1 - ab_t)
+
+Every step rejects eta outside [0, 1], nan included, on entry.  Within it
+sigma_t^2 <= 1 - ab_prev, as ab_t / ab_prev >= ab_t, so D below is real up
+to rounding, which its max clamps.
+
+The momentum step recomputes the emission from a corrected x0 estimate: a
+velocity buffer accumulates the per-step drift g_t = x_t - x_prev_ddim +
+lam * dir_t and is folded back in with a weight kappa that ramps linearly
+from 0 at t=T to kappa0 at t=0, so the correction stays inert early and
+grows as structure settles.  A vanilla DDIM step is momentum_step with
+kappa0 = 0: the correction is skipped and v' never feeds x_prev, so the
+step emits exactly the DDIM latent.
 
 With scalar coefficients computed once per hop
 
@@ -62,8 +70,8 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, check_latent
-from .errors import NumericError, ParameterError, SingularScheduleError
+from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, check_latent, check_level
+from .errors import NumericError, ParameterError
 
 
 class Denoiser(Protocol):
@@ -107,10 +115,10 @@ class MomentumState:
     def __post_init__(self):
         if not (0.0 <= self.beta <= 1.0):
             raise ParameterError(f"momentum beta must lie in [0, 1], got {self.beta}")
-        if self.kappa0 < 0.0:
-            raise ParameterError(f"kappa0 must be >= 0, got {self.kappa0}")
-        if self.lam < 0.0:
-            raise ParameterError(f"lam must be >= 0, got {self.lam}")
+        if not (0.0 <= self.kappa0 < math.inf):
+            raise ParameterError(f"kappa0 must be finite and >= 0, got {self.kappa0}")
+        if not (0.0 <= self.lam < math.inf):
+            raise ParameterError(f"lam must be finite and >= 0, got {self.lam}")
         if self.T < 1:
             raise ParameterError(f"T must be >= 1, got {self.T}")
 
@@ -141,14 +149,6 @@ def _predict(denoiser, x_t, t):
     return eps_hat
 
 
-def _width(s, t_prev, sigma) -> float:
-    """D = sqrt(1 - ab_prev - sigma^2), the deterministic direction's scale."""
-    rad = 1.0 - s.alpha_bar[t_prev] - sigma * sigma
-    if rad < -1e-12:
-        raise ParameterError(f"sigma^2 exceeds 1 - alpha_bar[{t_prev}]; lower eta")
-    return math.sqrt(max(rad, 0.0))
-
-
 def _noise(rng, sigma, shape):
     if sigma == 0.0:
         return None
@@ -158,11 +158,9 @@ def _noise(rng, sigma, shape):
 
 
 def _coefficients(s, t, t_to) -> tuple[float, float, float]:
-    """A, B and P for a hop from level t to t_to, rejecting the level x0
-    cannot be read from."""
+    """A, B and P for a hop from level t to t_to; the schedule keeps every
+    alpha_bar positive, so A is finite."""
     ab = float(s.alpha_bar[t])
-    if ab == 0.0:
-        raise SingularScheduleError(f"alpha_bar[{t}] is zero; x0 is unrecoverable")
     a = 1.0 / math.sqrt(ab)
     return a, -math.sqrt(1.0 - ab) * a, math.sqrt(float(s.alpha_bar[t_to]))
 
@@ -171,20 +169,17 @@ def _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev):
     """Validate a reverse hop t -> t_prev (default t-1) and query the
     denoiser once.  Returns eps_hat, A, B, P, D and the scaled noise (None
     when sigma is 0).  x_t must already be a checked latent."""
-    if not (1 <= t <= s.T):
-        raise ParameterError(f"step source t must lie in [1, {s.T}], got {t}")
-    if t_prev is None:
-        t_prev = t - 1
-    if not (0 <= t_prev < t):
-        raise ParameterError(f"t_prev must lie in [0, {t}), got {t_prev}")
-    if eta < 0.0:
-        raise ParameterError(f"eta must be >= 0, got {eta}")
+    t = check_level(t, 1, s.T, "step source t")
+    t_prev = t - 1 if t_prev is None else check_level(t_prev, 0, t - 1, "t_prev")
+    if not (0.0 <= eta <= 1.0):
+        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
     if eta > 0.0 and rng is None:
         raise ParameterError("eta > 0 requires an rng")
     eps_hat = _predict(denoiser, x_t, t)
     a, b, p = _coefficients(s, t, t_prev)
     sigma = sigma_for(s, t, t_prev, eta)
-    return eps_hat, a, b, p, _width(s, t_prev, sigma), _noise(rng, sigma, x_t.shape)
+    width = math.sqrt(max(1.0 - s.alpha_bar[t_prev] - sigma * sigma, 0.0))
+    return eps_hat, a, b, p, width, _noise(rng, sigma, x_t.shape)
 
 
 def _latent_hop(x_t, eps, a, b, p, width, noise=None, out=None):
@@ -248,13 +243,15 @@ def momentum_step(
 
 
 def step_grid(T: int, steps: int) -> np.ndarray:
-    """Uniform timestep sub-grid 0 = g_0 < g_1 < ... < g_steps = T."""
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
-    grid = np.rint(np.linspace(0.0, T, steps + 1)).astype(int)
-    if np.any(np.diff(grid) <= 0):
-        raise ParameterError(f"steps={steps} does not fit T={T}: sub-grid degenerates")
-    return grid
+    """Uniform timestep sub-grid 0 = g_0 < g_1 < ... < g_steps = T.
+
+    steps must be an integer with 1 <= steps <= T, and every such count
+    gives a strictly increasing grid: with spacing d = T / steps, rounding
+    moves each level by at most 1/2, so consecutive levels differ by at
+    least d - 1 > 0 when d > 1, and d = 1 is the exact grid 0, 1, ..., T.
+    """
+    steps = check_level(steps, 1, T, "steps")
+    return np.rint(np.linspace(0.0, T, steps + 1)).astype(int)
 
 
 def _sweep(name, x, grid, hop):

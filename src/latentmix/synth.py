@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, check_latent
-from .errors import DomainError, ParameterError
+from .core import LatentSequence, NoiseSchedule, check_latent, check_level
+from .errors import ParameterError
 from .tracking import MaskTrack
 
 
@@ -43,16 +43,12 @@ class _Oracle:
         self.x0_star = frames[index]
 
     def for_frame(self, k: int) -> "_Oracle":
-        if k < 0:
-            raise ParameterError(f"frame index must be >= 0, got {k}")
+        k = check_level(k, 0, math.inf, "frame index")
         return _Oracle(self.frames, self.s, min(k, len(self.frames) - 1))
 
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
-        if not (0 <= t <= self.s.T):
-            raise ParameterError(f"t must lie in [0, {self.s.T}], got {t}")
-        ab = float(self.s.alpha_bar[t])
-        if ab == 1.0:
-            raise DomainError("oracle eps is undefined at t=0 (zero noise floor)")
+        # eps is undefined at t = 0, where there is no noise to read back
+        ab = float(self.s.alpha_bar[check_level(t, 1, self.s.T, "t")])
         eps = np.subtract(x_t, np.multiply(self.x0_star, math.sqrt(ab)))
         eps /= math.sqrt(1.0 - ab)
         return eps

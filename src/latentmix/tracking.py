@@ -9,6 +9,7 @@ so one bad segmentation cannot yank the region across the scene.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Protocol
 
 import numpy as np
@@ -71,8 +72,8 @@ def threshold_segment(x: np.ndarray, theta: float, largest_component: bool = Fal
     """Mean absolute channel value above theta, optionally pruned to the
     largest 4-connected component."""
     x = check_latent(x, "x")
-    if theta < 0.0:
-        raise ParameterError(f"theta must be >= 0, got {theta}")
+    if not (0.0 <= theta < math.inf):
+        raise ParameterError(f"theta must be finite and >= 0, got {theta}")
     mask = np.mean(np.abs(x), axis=0) > theta
     if largest_component and mask.any():
         labels, count = ndimage.label(mask)  # default structure = 4-connectivity

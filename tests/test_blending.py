@@ -41,6 +41,14 @@ class TestBlendParams:
         with pytest.raises(ParameterError):
             ResidualParams(gamma=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # nan would compare false against 0 and pass a ">= 0" check
+        with pytest.raises(ParameterError, match="^strength must be finite and >= 0"):
+            BlendParams(strength=bad)
+        with pytest.raises(ParameterError, match="^gamma must be finite and >= 0"):
+            ResidualParams(gamma=bad)
+
 
 class TestBlendRegion:
     def test_zero_mask_identity(self):

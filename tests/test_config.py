@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,12 @@ from latentmix.config import (
     parse_config,
     validate_config,
 )
+from latentmix.blending import BlendParams, ResidualParams, lowpass_mask
+from latentmix.core import RandomSource, forward_diffuse, make_schedule
 from latentmix.errors import ConfigError
+from latentmix.sampler import MomentumState, ddim_sample, step_grid
+from latentmix.synth import OracleSpec, oracle_denoiser
+from latentmix.tracking import OverlapTracker, ThresholdSegmenter
 
 INT_FIELDS = [("seed",), ("schedule", "T"), ("injection", "t_prime"), ("queue", "length"), ("queue", "frames")]
 FLOAT_FIELDS = [
@@ -127,39 +134,54 @@ class TestValidate:
             validate_config(RunConfig(sampler={"eta": 0.0}))
 
 
-valid_configs = st.builds(
-    lambda T, frac, betas, eta, beta, lam, kappa0, strength, gamma, tau, cutoff, frames, seed, kind: {
-        "schedule": {"T": T, "beta_start": betas[0], "beta_end": betas[1], "kind": kind},
-        "sampler": {"eta": eta, "beta": beta, "lambda": lam, "kappa0": kappa0},
-        "injection": {
-            "t_prime": max(1, min(T - 1, int(frac * T))),
-            "strength": strength,
-            "gamma_res": gamma,
-            "tau": tau,
-            "cutoff": cutoff,
+def config_sources(eta, beta_cap):
+    """Config dicts with sampler.eta drawn from eta and both betas at most
+    beta_cap(T)."""
+    return st.builds(
+        lambda T, frac, betas, eta, beta, lam, kappa0, strength, gamma, tau, cutoff, frames, seed, kind: {
+            "schedule": {
+                "T": T,
+                "beta_start": betas[0] * beta_cap(T),
+                "beta_end": betas[1] * beta_cap(T),
+                "kind": kind,
+            },
+            "sampler": {"eta": eta, "beta": beta, "lambda": lam, "kappa0": kappa0},
+            "injection": {
+                "t_prime": max(1, min(T - 1, int(frac * T))),
+                "strength": strength,
+                "gamma_res": gamma,
+                "tau": tau,
+                "cutoff": cutoff,
+            },
+            "queue": {"length": max(1, int(frac * T)), "frames": frames},
+            "seed": seed,
         },
-        "queue": {"length": max(1, int(frac * T)), "frames": frames},
-        "seed": seed,
-    },
-    T=st.integers(min_value=2, max_value=5000),
-    frac=st.floats(min_value=0.0, max_value=1.0),
-    betas=st.tuples(st.floats(min_value=1e-6, max_value=0.99), st.floats(min_value=1e-6, max_value=0.99)).map(sorted),
-    eta=st.floats(min_value=0.0, max_value=2.0),
-    beta=st.floats(min_value=0.0, max_value=1.0),
-    lam=st.floats(min_value=0.0, max_value=4.0) | st.integers(min_value=0, max_value=4),
-    kappa0=st.floats(min_value=0.0, max_value=8.0),
-    strength=st.floats(min_value=0.0, max_value=4.0),
-    gamma=st.floats(min_value=0.0, max_value=1.0),
-    tau=st.floats(min_value=0.0, max_value=1.0),
-    cutoff=st.floats(min_value=0.0, max_value=0.5),
-    frames=st.integers(min_value=1, max_value=64),
-    seed=st.integers(min_value=0, max_value=2**63),
-    kind=st.sampled_from(["linear", "scaled_linear"]),
-)
+        T=st.integers(min_value=2, max_value=5000),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        betas=st.tuples(st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=1e-6, max_value=1.0)).map(sorted),
+        eta=eta,
+        beta=st.floats(min_value=0.0, max_value=1.0),
+        lam=st.floats(min_value=0.0, max_value=4.0) | st.integers(min_value=0, max_value=4),
+        kappa0=st.floats(min_value=0.0, max_value=8.0),
+        strength=st.floats(min_value=0.0, max_value=4.0),
+        gamma=st.floats(min_value=0.0, max_value=1.0),
+        tau=st.floats(min_value=0.0, max_value=1.0),
+        cutoff=st.floats(min_value=0.0, max_value=0.5),
+        frames=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=0, max_value=2**63),
+        kind=st.sampled_from(["linear", "scaled_linear"]),
+    )
+
+
+def no_underflow(T):
+    """A beta cap that keeps alpha_bar[T] >= exp(-600), far above the
+    subnormal range: with every beta_t <= cap, -log alpha_bar[T] is at most
+    T * -log(1 - cap) <= 600."""
+    return min(0.99, -math.expm1(-600.0 / T))
 
 
 @settings(max_examples=80, deadline=None)
-@given(source=valid_configs)
+@given(source=config_sources(st.floats(min_value=0.0, max_value=1.0), no_underflow))
 def test_dump_parse_round_trip(source):
     cfg = parse_config(source)
     dumped = dump_config(cfg)
@@ -167,6 +189,56 @@ def test_dump_parse_round_trip(source):
     assert parse_config(dumped) == cfg
     # and through JSON text
     assert parse_config(json.dumps(dumped)) == cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=config_sources(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0), lambda T: 0.99),
+)
+def test_accepted_configs_run(source):
+    """Whatever parse_config accepts, every library consumer of the config
+    accepts too: nothing fails on its configuration partway through a run."""
+    try:
+        cfg = parse_config(source)
+    except ConfigError:
+        return
+    sch, sa, inj, q = cfg.schedule, cfg.sampler, cfg.injection, cfg.queue
+    s = make_schedule(sch.T, sch.beta_start, sch.beta_end, sch.kind)
+    step_grid(s.T, q.length)
+    MomentumState.fresh((1, 2, 2), s.T, sa.beta, sa.lam, sa.kappa0)
+    BlendParams(inj.strength)
+    ResidualParams(inj.gamma_res)
+    rng = RandomSource(cfg.seed)
+    lowpass_mask(8, 8, inj.cutoff)
+    OverlapTracker(ThresholdSegmenter(), inj.tau)
+    x0 = np.ones((1, 2, 2))
+    x = forward_diffuse(x0, inj.t_prime, s, rng)
+    den = oracle_denoiser(OracleSpec(frames=x0[None]), s)
+    ddim_sample(x, den, s, steps=q.length, eta=sa.eta, rng=rng)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param('{"sampler": {"eta": 1.5}}', id="eta-above-one"),
+        # linear betas up to 0.99 over 1000 levels: alpha_bar underflows to 0
+        pytest.param('{"schedule": {"kind": "linear", "beta_start": 1e-4, "beta_end": 0.99}}', id="underflow"),
+    ]
+    + [
+        pytest.param(f'{{"{section}": {{"{key}": {value}}}}}', id=f"{key}={value}")
+        for section, key in [
+            ("sampler", "eta"),
+            ("sampler", "lambda"),
+            ("sampler", "kappa0"),
+            ("injection", "strength"),
+            ("injection", "gamma_res"),
+        ]
+        for value in ("Infinity", "-Infinity")
+    ],
+)
+def test_values_the_library_rejects_fail_at_parse(text):
+    with pytest.raises(ConfigError, match="must be finite|must lie in|schedule: "):
+        parse_config(text)
 
 
 def test_dump_keys_follow_fields():

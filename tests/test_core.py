@@ -139,8 +139,16 @@ class TestNoiseSchedule:
         # each alpha_bar has the length T + 1 would give, so only the type check can reject it
         with pytest.raises(ParameterError, match=r"^T must be an integer, got (2\.0|True)$"):
             NoiseSchedule(T=T, alpha_bar=alpha_bar)
-        with pytest.raises(ParameterError, match="^T must be a positive integer"):
+        with pytest.raises(ParameterError, match=r"^T must be an integer, got (2\.0|True)$"):
             make_schedule(T=T)
+
+    def test_alpha_bar_is_a_read_only_copy(self):
+        alpha_bar = np.array([1.0, 0.9, 0.81])
+        s = NoiseSchedule(T=2, alpha_bar=alpha_bar)
+        with pytest.raises(ValueError, match="read-only"):
+            s.alpha_bar[2] = 0.0
+        alpha_bar[2] = 0.5  # the caller's array stays writable and unshared
+        assert s.alpha_bar.tolist() == [1.0, 0.9, 0.81]
 
     def test_numpy_integer_horizon_accepted(self):
         s = NoiseSchedule(T=np.int64(2), alpha_bar=[1.0, 0.9, 0.81])
@@ -174,6 +182,9 @@ class TestRandomSource:
             RandomSource(-1)
         with pytest.raises(ParameterError):
             RandomSource(1.5)
+        with pytest.raises(ParameterError):
+            RandomSource(True)
+        assert RandomSource(np.int64(3)).seed == 3
 
     def test_uniform_range(self):
         u = RandomSource(5).uniform((1000,))

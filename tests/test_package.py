@@ -96,3 +96,19 @@ def test_dependencies_match_imports():
     assert undeclared == [], "imported but not declared in [project] dependencies"
     unused = sorted(declared - set().union(*imported.values()))
     assert unused == [], "declared in [project] dependencies but imported by no module"
+
+
+def test_error_classes_are_raised():
+    """Every class in errors.py is raised somewhere in the package, so the
+    taxonomy names no failure that cannot happen."""
+    errors = ast.parse((ROOT / "src" / "latentmix" / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError
+    assert defined - raised == {"DegenerateTrackError"}

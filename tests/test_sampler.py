@@ -1,14 +1,13 @@
 import dataclasses
 import hashlib
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentmix.core import RandomSource, check_latent, make_schedule
-from latentmix.errors import NumericError, ParameterError, SingularScheduleError
+from latentmix.core import RandomSource, check_latent, forward_diffuse, make_schedule
+from latentmix.errors import NumericError, ParameterError
 from latentmix.sampler import (
     MomentumState,
     ddim_invert,
@@ -40,6 +39,13 @@ class MixDenoiser:
     def predict_eps(self, x_t, t):
         mixed = np.einsum("dc,chw->dhw", self.w, x_t)
         return np.tanh(mixed) + np.sin(float(t)) * self.b
+
+
+class NoCallDenoiser:
+    """For calls that must fail on their arguments before any query."""
+
+    def predict_eps(self, x_t, t):
+        raise AssertionError("the denoiser was queried")
 
 
 class FixedEps:
@@ -83,19 +89,6 @@ class TestPredictX0:
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
             rec = vanilla_step(x_t, t, FixedEps(eps), desk_schedule).x0_hat
             assert np.max(np.abs(rec - x0)) < 1e-9
-
-    def test_singular_schedule(self):
-        x, den = np.zeros((1, 2, 2)), ZeroDenoiser()
-        fake = SimpleNamespace(T=2, alpha_bar=np.array([1.0, 0.5, 0.0]))
-        with pytest.raises(SingularScheduleError, match=r"^alpha_bar\[2\] is zero"):
-            momentum_step(x, 2, den, fake, MomentumState.fresh(x.shape, T=2))
-        with pytest.raises(SingularScheduleError, match=r"^alpha_bar\[2\] is zero"):
-            ddim_sample(x, den, fake, steps=1)
-        # inversion reads x0 only at the source levels below T, so the zero
-        # has to sit at an interior level to be reached
-        fake = SimpleNamespace(T=2, alpha_bar=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(SingularScheduleError, match=r"^alpha_bar\[1\] is zero"):
-            ddim_invert(x, den, fake, steps=2)
 
 
 class TestDdimStep:
@@ -148,6 +141,15 @@ class TestDdimStep:
         x = RandomSource(4).normal(DESK_SHAPE)
         with pytest.raises(ParameterError):
             vanilla_step(x, 32, ZeroDenoiser(), desk_schedule, eta=50.0, rng=RandomSource(0))
+
+    @pytest.mark.parametrize("eta", [1.5, np.nan, np.inf, -0.1])
+    def test_eta_outside_unit_interval_rejected_on_entry(self, desk_schedule, eta):
+        # within [0, 1], sigma^2 <= 1 - alpha_bar[t_prev] at every hop
+        x = RandomSource(4).normal(DESK_SHAPE)
+        with pytest.raises(ParameterError, match=r"^eta must lie in \[0, 1\]"):
+            vanilla_step(x, 32, NoCallDenoiser(), desk_schedule, eta=eta, rng=RandomSource(0))
+        with pytest.raises(ParameterError, match=r"^eta must lie in \[0, 1\]"):
+            ddim_sample(x, NoCallDenoiser(), desk_schedule, steps=4, eta=eta, rng=RandomSource(0))
 
     def test_eta_requires_rng(self, desk_schedule):
         with pytest.raises(ParameterError):
@@ -308,6 +310,15 @@ class TestMomentumStep:
         with pytest.raises(ParameterError):
             MomentumState.fresh(DESK_SHAPE, T=10, kappa0=-0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ParameterError, match="^lam must be finite and >= 0"):
+            MomentumState.fresh(DESK_SHAPE, T=10, lam=bad)
+        with pytest.raises(ParameterError, match="^kappa0 must be finite and >= 0"):
+            MomentumState.fresh(DESK_SHAPE, T=10, kappa0=bad)
+        with pytest.raises(ParameterError, match="^momentum beta must lie in"):
+            MomentumState.fresh(DESK_SHAPE, T=10, beta=bad)
+
 
 class TestInversion:
     def test_grid(self):
@@ -413,6 +424,33 @@ class TestInversionBuffers:
         assert not np.shares_memory(traj.data, x0)
         assert traj.data.shape == (steps + 1, *DESK_SHAPE)
         assert traj.data.flags.c_contiguous
+
+
+def _oracle_eps(s, t, den):
+    return oracle_denoiser(OracleSpec(frames=np.zeros((1, *DESK_SHAPE))), s).predict_eps(np.zeros(DESK_SHAPE), t)
+
+
+# call(s, level, denoiser) hands level to one public entry point as a timestep or a step count
+LEVEL_CALLS = {
+    "forward_diffuse": lambda s, t, den: forward_diffuse(np.zeros(DESK_SHAPE), t, s, RandomSource(0)),
+    "momentum_step-t": lambda s, t, den: vanilla_step(np.zeros(DESK_SHAPE), t, den, s),
+    "momentum_step-t_prev": lambda s, t, den: vanilla_step(np.zeros(DESK_SHAPE), 10, den, s, t_prev=t),
+    "predict_eps": _oracle_eps,
+    "for_frame": lambda s, t, den: oracle_denoiser(OracleSpec(frames=np.zeros((2, *DESK_SHAPE))), s).for_frame(t),
+    "step_grid": lambda s, t, den: step_grid(s.T, t),
+    "ddim_sample": lambda s, t, den: ddim_sample(np.zeros(DESK_SHAPE), den, s, steps=t),
+    "ddim_invert": lambda s, t, den: ddim_invert(np.zeros(DESK_SHAPE), den, s, t),
+}
+
+
+@pytest.mark.parametrize("call", LEVEL_CALLS.values(), ids=LEVEL_CALLS.keys())
+def test_levels_are_integers(desk_schedule, call):
+    # bool passes isinstance(., int) and True == 1; a float level would index
+    # alpha_bar with a bare IndexError, or not at all
+    for level in (5.0, np.float64(5.0), True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(desk_schedule, level, NoCallDenoiser())
+    call(desk_schedule, np.int64(5), ZeroDenoiser())
 
 
 def reference_step(x, t, t_prev, eps, s, eta, z, state=None):

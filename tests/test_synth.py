@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from latentmix.core import RandomSource, forward_diffuse, make_schedule
-from latentmix.errors import DomainError, ParameterError
+from latentmix.errors import ParameterError
 from latentmix.synth import (
     OracleSpec,
     checkerboard_frame,
@@ -49,7 +49,7 @@ class TestOracle:
 
     def test_t0_is_domain_error(self, desk_schedule):
         den = oracle_denoiser(OracleSpec(frames=np.zeros((1, *DESK_SHAPE))), desk_schedule)
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError, match=r"^t must lie in \[1, 64\], got 0$"):
             den.predict_eps(np.zeros(DESK_SHAPE), 0)
 
     def test_spec_rejects_bad_frames(self):

@@ -132,6 +132,12 @@ class TestThresholdSegment:
         with pytest.raises(ParameterError):
             threshold_segment(np.zeros((1, 4, 4)), -0.1)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        # nan or inf would compare false everywhere and give an empty mask
+        with pytest.raises(ParameterError, match="^theta must be finite and >= 0"):
+            threshold_segment(np.ones((1, 4, 4)), theta)
+
     @pytest.mark.parametrize("bad", [[np.inf], [np.nan], [np.inf, -np.inf]])
     def test_non_finite_rejected(self, bad):
         # a non-finite pixel inside the square must not just shrink the mask
