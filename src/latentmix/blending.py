@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import NoiseSchedule, RandomSource, check_latent, forward_diffuse
+from .core import NoiseSchedule, RandomSource, check_latent, check_level, check_real, forward_diffuse
 from .errors import ParameterError
 
 
@@ -29,8 +29,7 @@ class BlendParams:
     strength: float = 2.0
 
     def __post_init__(self):
-        if not (0.0 <= self.strength < math.inf):
-            raise ParameterError(f"strength must be finite and >= 0, got {self.strength}")
+        check_real(self.strength, 0, math.inf, "strength")
 
     @property
     def weight(self) -> float:
@@ -44,8 +43,7 @@ class ResidualParams:
     gamma: float = 0.05
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma < math.inf):
-            raise ParameterError(f"gamma must be finite and >= 0, got {self.gamma}")
+        check_real(self.gamma, 0, math.inf, "gamma")
 
 
 def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendParams) -> np.ndarray:
@@ -74,19 +72,20 @@ def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> n
     return x_mix + p.gamma * rng.normal(x_mix.shape)
 
 
-@functools.lru_cache(maxsize=16)
 def lowpass_mask(h: int, w: int, cutoff: float) -> np.ndarray:
     """Ideal square low-pass over unshifted FFT indices.
 
     Keeps frequencies with max(|u|, |v|) <= cutoff * min(h, w); cutoff 0.5
     therefore covers every frequency of an even square grid, and cutoff 0
-    is the empty mask by convention.  The mask is built once per
-    (h, w, cutoff) and shared by every caller, so it is read-only.
+    is the empty mask by convention.  The arguments are checked, then the
+    mask is built once per (h, w, cutoff) and shared, so it is read-only.
     """
-    if not (0.0 <= cutoff <= 0.5):
-        raise ParameterError(f"cutoff must lie in [0, 0.5], got {cutoff}")
-    if h < 1 or w < 1:
-        raise ParameterError("mask dimensions must be >= 1")
+    h, w = check_level(h, 1, math.inf, "mask height"), check_level(w, 1, math.inf, "mask width")
+    return _lowpass_mask(h, w, check_real(cutoff, 0, 0.5, "cutoff"))
+
+
+@functools.lru_cache(maxsize=16)
+def _lowpass_mask(h: int, w: int, cutoff: float) -> np.ndarray:
     if cutoff == 0.0:
         mask = np.zeros((h, w))
     else:

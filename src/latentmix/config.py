@@ -5,11 +5,12 @@ fall back to a default.  The accepted keys come from the dataclass fields
 below; only "lambda" (sampler.lam) is renamed.  dump_config(parse_config(x))
 round-trips.
 
-A config parse_config accepts is one the library accepts: every number is
-finite (JSON's Infinity and NaN fail) and bool is never a number; the
-schedule is checked by building it with make_schedule, so one whose
-alpha_bar underflows to 0 fails here; every other field lies in the range
-its consumer accepts, sampler.eta in [0, 1] among them.
+A config parse_config accepts is one the library accepts: parse applies
+the library's two rules, core.check_level and core.check_real, so every
+number is finite and bool is never a number.  The schedule is checked by
+building it with make_schedule, so T above MAX_T or an alpha_bar that
+underflows to 0 fails here; every other field lies in the range its
+consumer accepts, sampler.eta in [0, 1] among them.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 
-from .core import DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, make_schedule
+from .core import DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, check_level, check_real, make_schedule
 from .errors import ConfigError, ParameterError
 
 
@@ -102,42 +102,29 @@ def parse_config(source: str | dict) -> RunConfig:
     return cfg
 
 
-def _check(value, key: str, lo=-math.inf, hi=math.inf, integer: bool = False) -> None:
-    """Reject value unless it is a finite number in [lo, hi], and an integer
-    when integer is set."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    # nan fails every comparison; an int beyond the float range is no finite float either
-    if not (-sys.float_info.max <= value <= sys.float_info.max):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    if not (lo <= value <= hi):
-        raise ConfigError(f"{key} must lie in [{lo}, {hi}], got {value!r}")
-
-
 def validate_config(cfg: RunConfig) -> RunConfig:
     for field in dataclasses.fields(cfg):
         if _is_section(field) and not isinstance(getattr(cfg, field.name), field.default_factory):
             raise ConfigError(f"{field.name} must be a {field.type}, got {getattr(cfg, field.name)!r}")
     s, sa, inj, q = cfg.schedule, cfg.sampler, cfg.injection, cfg.queue
-    _check(s.T, "schedule.T", integer=True)
-    _check(s.beta_start, "schedule.beta_start")
-    _check(s.beta_end, "schedule.beta_end")
+    where = "schedule: "  # make_schedule names T, the betas or alpha_bar, not the section
     try:
         make_schedule(s.T, s.beta_start, s.beta_end, s.kind)
+        where = ""
+        check_real(sa.eta, 0, 1, "sampler.eta")
+        check_real(sa.beta, 0, 1, "sampler.beta")
+        check_real(sa.lam, 0, math.inf, "sampler.lambda")
+        check_real(sa.kappa0, 0, math.inf, "sampler.kappa0")
+        check_level(inj.t_prime, 1, s.T - 1, "injection.t_prime")
+        check_real(inj.strength, 0, math.inf, "injection.strength")
+        check_real(inj.gamma_res, 0, math.inf, "injection.gamma_res")
+        check_real(inj.tau, 0, 1, "injection.tau")
+        check_real(inj.cutoff, 0, 0.5, "injection.cutoff")
+        check_level(q.length, 1, s.T, "queue.length")
+        check_level(q.frames, 1, math.inf, "queue.frames")
+        check_level(cfg.seed, 0, math.inf, "seed")
     except ParameterError as e:
-        raise ConfigError(f"schedule: {e}") from e
-    _check(sa.eta, "sampler.eta", 0.0, 1.0)
-    _check(sa.beta, "sampler.beta", 0.0, 1.0)
-    _check(sa.lam, "sampler.lambda", 0.0)
-    _check(sa.kappa0, "sampler.kappa0", 0.0)
-    _check(inj.t_prime, "injection.t_prime", 1, s.T - 1, integer=True)
-    _check(inj.strength, "injection.strength", 0.0)
-    _check(inj.gamma_res, "injection.gamma_res", 0.0)
-    _check(inj.tau, "injection.tau", 0.0, 1.0)
-    _check(inj.cutoff, "injection.cutoff", 0.0, 0.5)
-    _check(q.length, "queue.length", 1, s.T, integer=True)
-    _check(q.frames, "queue.frames", 1, integer=True)
-    _check(cfg.seed, "seed", 0, integer=True)
+        raise ConfigError(f"{where}{e}") from e
     return cfg
 
 

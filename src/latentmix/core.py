@@ -1,4 +1,5 @@
-"""Latent containers, noise schedules, and the seeded random source.
+"""Latent containers, noise schedules, the seeded random source, and the
+two scalar rules: check_level for integers, check_real for real numbers.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  All stochastic code draws from RandomSource so that
@@ -17,6 +18,8 @@ from .errors import ParameterError
 # scaled_linear over 1000 steps with this beta range is the common latent
 # diffusion operating point; used as the config default.
 DEFAULT_T = 1000
+# make_schedule's peak is about 33 bytes per level, 3.3 MB here; NoiseSchedule has no cap
+MAX_T = 100_000
 DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
 
@@ -53,6 +56,23 @@ def check_level(t, lo, hi, name) -> int:
     if lo <= t <= hi:
         return t
     raise ParameterError(f"{name} must lie in [{lo}, {hi}], got {t}")
+
+
+def check_real(x, lo, hi, name) -> float:
+    """Return the weight, scale or threshold x as a float in [lo, hi].  An int,
+    float or numpy number passes; a bool, nan or an infinity never does."""
+    if type(x) is not float:
+        if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+            raise ParameterError(f"{name} must be a number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:  # an int beyond the float range
+            raise ParameterError(f"{name} must be finite, got {x!r}") from None
+    if not math.isfinite(x):
+        raise ParameterError(f"{name} must be finite, got {x}")
+    if lo <= x <= hi:
+        return x
+    raise ParameterError(f"{name} must lie in [{lo}, {hi}], got {x}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,7 +136,9 @@ def make_schedule(
     kind "linear" interpolates beta directly; "scaled_linear" interpolates
     in sqrt(beta) space and squares, which front-loads smaller betas.
     """
-    T = check_level(T, 1, math.inf, "T")
+    T = check_level(T, 1, MAX_T, "T")
+    beta_start = check_real(beta_start, -math.inf, math.inf, "beta_start")
+    beta_end = check_real(beta_end, -math.inf, math.inf, "beta_end")
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ParameterError(f"need 0 < beta_start <= beta_end < 1, got ({beta_start}, {beta_end})")
     if kind not in ("linear", "scaled_linear"):

@@ -6,8 +6,8 @@ ArithmeticError) without importing this module.
 
 
 class ParameterError(ValueError):
-    """An argument violates an operation's precondition (a level that is not
-    an integer in range, a weight that is not finite, eta outside [0, 1])."""
+    """An argument violates an operation's precondition: a level that is not
+    an integer in range, a weight that is not a finite number in range."""
 
 
 class DegenerateTrackError(RuntimeError):

@@ -17,7 +17,7 @@ import tempfile
 
 import numpy as np
 
-from .core import LatentSequence, all_finite
+from .core import LatentSequence, all_finite, check_level
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
@@ -48,8 +48,7 @@ def atomic_write_bytes(path, *chunks) -> None:
 
 def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
     """Serialize a (F, C, H, W) float array; payload is stored as float32."""
-    if not isinstance(flags, (int, np.integer)) or flags not in (0, FLAG_MASK):
-        raise ParameterError(f"LTS flags must be 0 or {FLAG_MASK}, got {flags!r}")
+    flags = check_level(flags, 0, FLAG_MASK, "LTS flags")  # 0 or FLAG_MASK, the one defined bit
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 4 or min(data.shape) < 1:
         raise ParameterError(f"LTS payload must be (F, C, H, W), got shape {data.shape}")

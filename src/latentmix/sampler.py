@@ -70,7 +70,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, check_latent, check_level
+from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, check_latent, check_level, check_real
 from .errors import NumericError, ParameterError
 
 
@@ -113,14 +113,10 @@ class MomentumState:
     T: int
 
     def __post_init__(self):
-        if not (0.0 <= self.beta <= 1.0):
-            raise ParameterError(f"momentum beta must lie in [0, 1], got {self.beta}")
-        if not (0.0 <= self.kappa0 < math.inf):
-            raise ParameterError(f"kappa0 must be finite and >= 0, got {self.kappa0}")
-        if not (0.0 <= self.lam < math.inf):
-            raise ParameterError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.T < 1:
-            raise ParameterError(f"T must be >= 1, got {self.T}")
+        check_real(self.beta, 0, 1, "momentum beta")
+        check_real(self.lam, 0, math.inf, "lam")
+        check_real(self.kappa0, 0, math.inf, "kappa0")
+        check_level(self.T, 1, math.inf, "T")
 
     @classmethod
     def fresh(cls, shape, T: int, beta: float = 0.9, lam: float = 1.0, kappa0: float = 2.0) -> "MomentumState":
@@ -171,8 +167,7 @@ def _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev):
     when sigma is 0).  x_t must already be a checked latent."""
     t = check_level(t, 1, s.T, "step source t")
     t_prev = t - 1 if t_prev is None else check_level(t_prev, 0, t - 1, "t_prev")
-    if not (0.0 <= eta <= 1.0):
-        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+    eta = check_real(eta, 0, 1, "eta")
     if eta > 0.0 and rng is None:
         raise ParameterError("eta > 0 requires an rng")
     eps_hat = _predict(denoiser, x_t, t)
@@ -245,7 +240,7 @@ def momentum_step(
 def step_grid(T: int, steps: int) -> np.ndarray:
     """Uniform timestep sub-grid 0 = g_0 < g_1 < ... < g_steps = T.
 
-    steps must be an integer with 1 <= steps <= T, and every such count
+    steps is an integer with 1 <= steps <= T, and every such count
     gives a strictly increasing grid: with spacing d = T / steps, rounding
     moves each level by at most 1/2, so consecutive levels differ by at
     least d - 1 > 0 when d > 1, and d = 1 is the exact grid 0, 1, ..., T.

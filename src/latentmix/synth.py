@@ -73,10 +73,10 @@ def moving_square_scene(
     square clamps at the borders instead of leaving the grid.  Returns the
     latent sequence and the exact per-frame masks as a fully linked track.
     """
-    if frames < 1 or grid < 1 or channels < 1:
-        raise ParameterError("frames, grid, and channels must be >= 1")
-    if not (1 <= square <= grid):
-        raise ParameterError(f"square side must lie in [1, {grid}], got {square}")
+    frames = check_level(frames, 1, math.inf, "frames")
+    grid = check_level(grid, 1, math.inf, "grid")
+    square = check_level(square, 1, grid, "square side")
+    channels = check_level(channels, 1, math.inf, "channels")
     dx, dy = int(velocity[0]), int(velocity[1])
     hi = grid - square
     data = np.zeros((frames, channels, grid, grid))
@@ -93,8 +93,7 @@ def moving_square_scene(
 def checkerboard_frame(grid: int, channels: int = 4, hi: float = 1.0, lo: float = -1.0) -> np.ndarray:
     """Unit-cell checkerboard, identical across channels; a cheap pattern
     that is far from any moving-square scene in the proxy embedding space."""
-    if grid < 1 or channels < 1:
-        raise ParameterError("grid and channels must be >= 1")
+    grid, channels = check_level(grid, 1, math.inf, "grid"), check_level(channels, 1, math.inf, "channels")
     rows, cols = np.indices((grid, grid))
     board = np.where((rows + cols) % 2 == 0, hi, lo)
     return np.broadcast_to(board, (channels, grid, grid)).astype(np.float64).copy()
@@ -104,8 +103,7 @@ def patch_embedding_proxy(frame: np.ndarray, patches: int) -> np.ndarray:
     """Unit-normalized vector of per-patch channel means, length patches**2."""
     frame = check_latent(frame, "frame")
     _, h, w = frame.shape
-    if patches < 1:
-        raise ParameterError(f"patches must be >= 1, got {patches}")
+    patches = check_level(patches, 1, math.inf, "patches")
     if h % patches or w % patches:
         raise ParameterError(f"patches={patches} must divide frame size {h}x{w}")
     ph, pw = h // patches, w // patches

@@ -15,7 +15,7 @@ from typing import Protocol
 import numpy as np
 from scipy import ndimage
 
-from .core import LatentSequence, check_latent
+from .core import LatentSequence, check_latent, check_real
 from .errors import ParameterError
 
 
@@ -72,8 +72,7 @@ def threshold_segment(x: np.ndarray, theta: float, largest_component: bool = Fal
     """Mean absolute channel value above theta, optionally pruned to the
     largest 4-connected component."""
     x = check_latent(x, "x")
-    if not (0.0 <= theta < math.inf):
-        raise ParameterError(f"theta must be finite and >= 0, got {theta}")
+    theta = check_real(theta, 0, math.inf, "theta")
     mask = np.mean(np.abs(x), axis=0) > theta
     if largest_component and mask.any():
         labels, count = ndimage.label(mask)  # default structure = 4-connectivity
@@ -103,10 +102,8 @@ class OverlapTracker:
     """
 
     def __init__(self, segmenter: Segmenter, tau: float):
-        if not (0.0 <= tau <= 1.0):
-            raise ParameterError(f"tau must lie in [0, 1], got {tau}")
+        self.tau = check_real(tau, 0, 1, "tau")
         self._segment = segmenter.segment
-        self.tau = tau
         self.masks: list[np.ndarray] = []
         self.linked: list[bool] = []
         self.degenerate = False

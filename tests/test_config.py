@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -17,8 +18,8 @@ from latentmix.config import (
     validate_config,
 )
 from latentmix.blending import BlendParams, ResidualParams, lowpass_mask
-from latentmix.core import RandomSource, forward_diffuse, make_schedule
-from latentmix.errors import ConfigError
+from latentmix.core import MAX_T, RandomSource, forward_diffuse, make_schedule
+from latentmix.errors import ConfigError, ParameterError
 from latentmix.sampler import MomentumState, ddim_sample, step_grid
 from latentmix.synth import OracleSpec, oracle_denoiser
 from latentmix.tracking import OverlapTracker, ThresholdSegmenter
@@ -217,15 +218,35 @@ def test_accepted_configs_run(source):
     ddim_sample(x, den, s, steps=q.length, eta=sa.eta, rng=rng)
 
 
+# JSON key of a real-valued field -> the library call that consumes its value;
+# ddim_sample checks eta before it queries its (here absent) denoiser
+REAL_CONSUMERS = {
+    ("schedule", "beta_start"): lambda v: make_schedule(8, v, 0.5),
+    ("schedule", "beta_end"): lambda v: make_schedule(8, 1e-4, v),
+    ("sampler", "eta"): lambda v: ddim_sample(np.ones((1, 2, 2)), None, make_schedule(8), eta=v, rng=RandomSource(0)),
+    ("sampler", "beta"): lambda v: MomentumState.fresh((1, 2, 2), 8, beta=v),
+    ("sampler", "lambda"): lambda v: MomentumState.fresh((1, 2, 2), 8, lam=v),
+    ("sampler", "kappa0"): lambda v: MomentumState.fresh((1, 2, 2), 8, kappa0=v),
+    ("injection", "strength"): BlendParams,
+    ("injection", "gamma_res"): ResidualParams,
+    ("injection", "tau"): lambda v: OverlapTracker(ThresholdSegmenter(), v),
+    ("injection", "cutoff"): lambda v: lowpass_mask(8, 8, v),
+}
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, consume",
     [
-        pytest.param('{"sampler": {"eta": 1.5}}', id="eta-above-one"),
+        pytest.param('{"sampler": {"eta": 1.5}}', lambda: REAL_CONSUMERS["sampler", "eta"](1.5), id="eta-above-one"),
         # linear betas up to 0.99 over 1000 levels: alpha_bar underflows to 0
-        pytest.param('{"schedule": {"kind": "linear", "beta_start": 1e-4, "beta_end": 0.99}}', id="underflow"),
+        pytest.param(
+            '{"schedule": {"kind": "linear", "beta_start": 1e-4, "beta_end": 0.99}}',
+            lambda: make_schedule(1000, 1e-4, 0.99, "linear"),
+            id="underflow",
+        ),
     ]
     + [
-        pytest.param(f'{{"{section}": {{"{key}": {value}}}}}', id=f"{key}={value}")
+        pytest.param(f'{{"{section}": {{"{key}": {text}}}}}', functools.partial(REAL_CONSUMERS[section, key], value), id=f"{key}={text}")
         for section, key in [
             ("sampler", "eta"),
             ("sampler", "lambda"),
@@ -233,12 +254,25 @@ def test_accepted_configs_run(source):
             ("injection", "strength"),
             ("injection", "gamma_res"),
         ]
-        for value in ("Infinity", "-Infinity")
+        for text, value in (("Infinity", math.inf), ("-Infinity", -math.inf))
+    ]
+    # true would pass a range check as 1
+    + [
+        pytest.param(f'{{"{section}": {{"{key}": true}}}}', functools.partial(consume, True), id=f"{key}=true")
+        for (section, key), consume in REAL_CONSUMERS.items()
     ],
 )
-def test_values_the_library_rejects_fail_at_parse(text):
-    with pytest.raises(ConfigError, match="must be finite|must lie in|schedule: "):
+def test_values_the_library_rejects_fail_at_parse(text, consume):
+    with pytest.raises(ConfigError, match="must be finite|must lie in|must be a number|schedule: "):
         parse_config(text)
+    with pytest.raises(ParameterError):
+        consume()
+
+
+def test_horizon_capped_at_parse():
+    # make_schedule's cap: at T = 1e6 parse used to allocate 33 MB
+    with pytest.raises(ConfigError, match=rf"^schedule: T must lie in \[1, {MAX_T}\], got 1000000$"):
+        parse_config({"schedule": {"T": 10**6, "beta_start": 1e-6, "beta_end": 1e-6}, "queue": {"length": 2}})
 
 
 def test_dump_keys_follow_fields():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentmix.core import (
+    MAX_T,
     LatentSequence,
     NoiseSchedule,
     RandomSource,
@@ -16,6 +17,8 @@ from latentmix.core import (
     make_schedule,
 )
 from latentmix.errors import ParameterError
+
+from conftest import traced_peak
 
 # Independent cumulative-product oracle values (plain-Python running product).
 AB_T_SCALED_LINEAR_DEFAULT = 0.004660098513077234
@@ -86,6 +89,25 @@ class TestMakeSchedule:
             make_schedule(0, 0.1, 0.2)
         with pytest.raises(ParameterError):
             make_schedule(10, 0.1, 0.2, "cosine")
+
+    def test_horizon_capped_before_allocating(self):
+        assert make_schedule(MAX_T).T == MAX_T
+        with pytest.raises(ParameterError, match=rf"^T must lie in \[1, {MAX_T}\], got {MAX_T + 1}$"):
+            make_schedule(MAX_T + 1)
+
+        def huge():
+            # T = 1e8 would allocate about 3 GB of betas and alpha_bar
+            with pytest.raises(ParameterError, match="^T must lie in"):
+                make_schedule(10**8)
+
+        assert traced_peak(huge) < 64 * 1024
+
+    def test_uncapped_schedule_constructor(self):
+        # the cap guards make_schedule's allocation; a built alpha_bar of
+        # any length is a valid schedule
+        T = MAX_T + 1
+        s = NoiseSchedule(T=T, alpha_bar=np.linspace(1.0, 0.5, T + 1))
+        assert s.T == T
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -77,7 +77,7 @@ def test_mask_flag_enforced_on_write(tmp_path):
         write_lts(tmp_path / "y.lts", np.full((1, 1, 2, 2), 0.5), flags=FLAG_MASK)  # non-binary
 
 
-@pytest.mark.parametrize("flags", [-1, 2, 6, 2**32])
+@pytest.mark.parametrize("flags", [-1, 2, 6, 2**32, True, 1.0])
 def test_write_rejects_undefined_flags(tmp_path, flags):
     # only 0 and FLAG_MASK are defined; nothing may reach the disk
     path = tmp_path / "f.lts"

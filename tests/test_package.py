@@ -1,6 +1,7 @@
 """Package hygiene: no dead top-level imports, no unreferenced private
-functions or classes, no dangling script entries, and declared
-dependencies that match what the package imports."""
+functions or classes, no dangling script entries, declared dependencies
+that match what the package imports, and scalar checks written only in
+core."""
 
 import ast
 import importlib
@@ -112,3 +113,15 @@ def test_error_classes_are_raised():
                     raised.add(exc.id)
     # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError
     assert defined - raised == {"DegenerateTrackError"}
+
+
+# the messages of core.check_level and core.check_real
+SCALAR_CHECK_PHRASES = ("must lie in", "must be finite", "must be a number", "must be an integer")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_scalar_checks_live_in_core(path):
+    """A scalar parameter is checked by check_level or check_real, so no
+    other module writes one of their messages by hand."""
+    text = path.read_text()
+    assert [phrase for phrase in SCALAR_CHECK_PHRASES if phrase in text] == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latentmix.blending import BlendParams, ResidualParams, lowpass_mask
 from latentmix.core import RandomSource, check_latent, forward_diffuse, make_schedule
 from latentmix.errors import NumericError, ParameterError
 from latentmix.sampler import (
@@ -17,7 +18,8 @@ from latentmix.sampler import (
     sigma_for,
     step_grid,
 )
-from latentmix.synth import OracleSpec, oracle_denoiser
+from latentmix.synth import OracleSpec, checkerboard_frame, moving_square_scene, oracle_denoiser, patch_embedding_proxy
+from latentmix.tracking import OverlapTracker, ThresholdSegmenter, threshold_segment
 
 from conftest import DESK_SHAPE, traced_peak
 
@@ -146,9 +148,10 @@ class TestDdimStep:
     def test_eta_outside_unit_interval_rejected_on_entry(self, desk_schedule, eta):
         # within [0, 1], sigma^2 <= 1 - alpha_bar[t_prev] at every hop
         x = RandomSource(4).normal(DESK_SHAPE)
-        with pytest.raises(ParameterError, match=r"^eta must lie in \[0, 1\]"):
+        message = r"lie in \[0, 1\]" if np.isfinite(eta) else "be finite"
+        with pytest.raises(ParameterError, match=rf"^eta must {message}, got "):
             vanilla_step(x, 32, NoCallDenoiser(), desk_schedule, eta=eta, rng=RandomSource(0))
-        with pytest.raises(ParameterError, match=r"^eta must lie in \[0, 1\]"):
+        with pytest.raises(ParameterError, match=rf"^eta must {message}, got "):
             ddim_sample(x, NoCallDenoiser(), desk_schedule, steps=4, eta=eta, rng=RandomSource(0))
 
     def test_eta_requires_rng(self, desk_schedule):
@@ -312,11 +315,11 @@ class TestMomentumStep:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
-        with pytest.raises(ParameterError, match="^lam must be finite and >= 0"):
+        with pytest.raises(ParameterError, match="^lam must be finite, got "):
             MomentumState.fresh(DESK_SHAPE, T=10, lam=bad)
-        with pytest.raises(ParameterError, match="^kappa0 must be finite and >= 0"):
+        with pytest.raises(ParameterError, match="^kappa0 must be finite, got "):
             MomentumState.fresh(DESK_SHAPE, T=10, kappa0=bad)
-        with pytest.raises(ParameterError, match="^momentum beta must lie in"):
+        with pytest.raises(ParameterError, match="^momentum beta must be finite, got "):
             MomentumState.fresh(DESK_SHAPE, T=10, beta=bad)
 
 
@@ -440,6 +443,16 @@ LEVEL_CALLS = {
     "step_grid": lambda s, t, den: step_grid(s.T, t),
     "ddim_sample": lambda s, t, den: ddim_sample(np.zeros(DESK_SHAPE), den, s, steps=t),
     "ddim_invert": lambda s, t, den: ddim_invert(np.zeros(DESK_SHAPE), den, s, t),
+    "MomentumState-T": lambda s, t, den: MomentumState.fresh(DESK_SHAPE, T=t),
+    "lowpass_mask-h": lambda s, t, den: lowpass_mask(t, 8, 0.25),
+    "lowpass_mask-w": lambda s, t, den: lowpass_mask(8, t, 0.25),
+    "moving_square_scene-frames": lambda s, t, den: moving_square_scene(t, 8, 2, (1, 0)),
+    "moving_square_scene-grid": lambda s, t, den: moving_square_scene(2, t, 2, (1, 0)),
+    "moving_square_scene-square": lambda s, t, den: moving_square_scene(2, 8, t, (1, 0)),
+    "moving_square_scene-channels": lambda s, t, den: moving_square_scene(2, 8, 2, (1, 0), channels=t),
+    "checkerboard_frame-grid": lambda s, t, den: checkerboard_frame(t),
+    "checkerboard_frame-channels": lambda s, t, den: checkerboard_frame(8, channels=t),
+    "patch_embedding_proxy": lambda s, t, den: patch_embedding_proxy(np.ones((1, 10, 10)), t),
 }
 
 
@@ -451,6 +464,47 @@ def test_levels_are_integers(desk_schedule, call):
         with pytest.raises(ParameterError, match="must be an integer"):
             call(desk_schedule, level, NoCallDenoiser())
     call(desk_schedule, np.int64(5), ZeroDenoiser())
+
+
+# call(s, x, denoiser) hands x to one public entry point as a real-valued parameter
+REAL_CALLS = {
+    "MomentumState-beta": lambda s, x, den: MomentumState.fresh(DESK_SHAPE, T=s.T, beta=x),
+    "MomentumState-lam": lambda s, x, den: MomentumState.fresh(DESK_SHAPE, T=s.T, lam=x),
+    "MomentumState-kappa0": lambda s, x, den: MomentumState.fresh(DESK_SHAPE, T=s.T, kappa0=x),
+    "momentum_step-eta": lambda s, x, den: vanilla_step(np.zeros(DESK_SHAPE), 5, den, s, eta=x, rng=RandomSource(0)),
+    "ddim_sample-eta": lambda s, x, den: ddim_sample(np.zeros(DESK_SHAPE), den, s, steps=4, eta=x, rng=RandomSource(0)),
+    "BlendParams-strength": lambda s, x, den: BlendParams(x),
+    "ResidualParams-gamma": lambda s, x, den: ResidualParams(x),
+    "lowpass_mask-cutoff": lambda s, x, den: lowpass_mask(8, 8, x),
+    "threshold_segment-theta": lambda s, x, den: threshold_segment(np.ones((1, 4, 4)), x),
+    "OverlapTracker-tau": lambda s, x, den: OverlapTracker(ThresholdSegmenter(), x),
+    "make_schedule-beta_start": lambda s, x, den: make_schedule(8, x, 0.5),
+    "make_schedule-beta_end": lambda s, x, den: make_schedule(8, 0.25, x),
+}
+# the schedule's betas lie in (0, 1), so 0 is out of their range
+REALS_WITHOUT_ZERO = {"make_schedule-beta_start", "make_schedule-beta_end"}
+
+
+@pytest.mark.parametrize("name", REAL_CALLS)
+def test_reals_are_numbers(desk_schedule, name):
+    # True would pass a range check as 1 and a str or None would fail the
+    # comparison with a bare TypeError; nan and inf fail every range
+    call = REAL_CALLS[name]
+    for value, message in [
+        (True, "must be a number"),
+        (np.True_, "must be a number"),
+        ("0.5", "must be a number"),
+        (None, "must be a number"),
+        ([0.5], "must be a number"),
+        (np.nan, "must be finite"),
+        (np.inf, "must be finite"),
+        (-np.inf, "must be finite"),
+    ]:
+        with pytest.raises(ParameterError, match=message):
+            call(desk_schedule, value, NoCallDenoiser())
+    call(desk_schedule, np.float32(0.5), ZeroDenoiser())
+    if name not in REALS_WITHOUT_ZERO:
+        call(desk_schedule, np.int64(0), ZeroDenoiser())
 
 
 def reference_step(x, t, t_prev, eps, s, eta, z, state=None):
