@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .core import NoiseSchedule, RandomSource, check_latent, check_level, check_real, forward_diffuse
+from .core import NoiseSchedule, RandomSource, check_latent, check_level, check_mask, check_real, forward_diffuse
 from .errors import ParameterError
 
 
@@ -49,26 +49,24 @@ class ResidualParams:
 def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendParams) -> np.ndarray:
     """Interpolate conditioned content into the masked region.
 
-    Outside the mask the input passes through bit-identically; inside, the
-    output is (1-w) * x_t + w * x_cond_t with w = p.weight, so w = 1 gives
-    x_cond_t and w = 0 gives x_t (up to the sign of zero).
+    m is an (H, W) mask on the latent grid under core.check_mask.  Outside
+    the mask the input passes through bit-identically; inside, the output is
+    (1-w) * x_t + w * x_cond_t with w = p.weight, so w = 1 gives x_cond_t and
+    w = 0 gives x_t (up to the sign of zero).
     """
     x_t = check_latent(x_t, "x_t")
     x_cond_t = check_latent(x_cond_t, "x_cond_t")
     if x_cond_t.shape != x_t.shape:
         raise ParameterError(f"conditioned latent shape {x_cond_t.shape} does not match {x_t.shape}")
-    m = np.asarray(m)
-    if m.shape != x_t.shape[1:]:
-        raise ParameterError(f"mask shape {m.shape} does not match latent grid {x_t.shape[1:]}")
+    m = check_mask(m, x_t.shape[1:])
     w = p.weight
-    return np.where(m.astype(bool)[None], (1.0 - w) * x_t + w * x_cond_t, x_t)
+    return np.where(m[None], (1.0 - w) * x_t + w * x_cond_t, x_t)
 
 
 def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> np.ndarray:
-    """Add gamma-scaled Gaussian noise over the whole latent (no mask)."""
+    """Add gamma-scaled Gaussian noise over the whole latent (no mask).  The
+    normal draw is taken at gamma 0 too, so later draws do not depend on gamma."""
     x_mix = check_latent(x_mix, "x_mix")
-    if p.gamma == 0.0:
-        return x_mix.copy()
     return x_mix + p.gamma * rng.normal(x_mix.shape)
 
 

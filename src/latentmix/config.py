@@ -19,6 +19,8 @@ import dataclasses
 import json
 import math
 
+import numpy as np
+
 from .core import DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, check_level, check_real, make_schedule
 from .errors import ConfigError, ParameterError
 
@@ -133,5 +135,8 @@ def dump_config(cfg) -> dict:
     out = {}
     for field in dataclasses.fields(cfg):
         value = getattr(cfg, field.name)
-        out[_JSON_KEYS.get(field.name, field.name)] = dump_config(value) if dataclasses.is_dataclass(value) else value
+        if dataclasses.is_dataclass(value):
+            value = dump_config(value)
+        # json cannot encode a numpy scalar, which a config built in Python may hold
+        out[_JSON_KEYS.get(field.name, field.name)] = value.item() if isinstance(value, np.generic) else value
     return out

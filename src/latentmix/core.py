@@ -1,5 +1,5 @@
 """Latent containers, noise schedules, the seeded random source, and the
-two scalar rules: check_level for integers, check_real for real numbers.
+library's rules: check_level, check_real, check_latent and check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  All stochastic code draws from RandomSource so that
@@ -36,14 +36,27 @@ def all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
-def check_latent(x, name: str = "latent") -> np.ndarray:
-    """Coerce to a float64 (C, H, W) array and validate finiteness."""
+def check_latent(x, name: str = "latent", axes: str = "CHW") -> np.ndarray:
+    """Coerce to a float64 array with one nonempty axis per letter of axes
+    and validate finiteness."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or min(x.shape) < 1:
-        raise ParameterError(f"{name} must be a nonempty (C, H, W) array, got shape {x.shape}")
+    if x.ndim != len(axes) or 0 in x.shape:
+        raise ParameterError(f"{name} must be a nonempty ({', '.join(axes)}) array, got shape {x.shape}")
     if not all_finite(x):
         raise ParameterError(f"{name} contains non-finite values")
     return x
+
+
+def check_mask(m, shape: tuple, name: str = "mask") -> np.ndarray:
+    """Return m as a new bool array of the given shape, None for any size >= 1.
+    Its values are bools, or numbers exactly 0 or 1 (the LTS mask rule)."""
+    m = np.asarray(m)
+    if m.ndim != len(shape) or 0 in m.shape or any(d not in (None, n) for d, n in zip(shape, m.shape)):
+        want = ", ".join("?" if d is None else str(d) for d in shape)
+        raise ParameterError(f"{name} must be a nonempty ({want}) array, got shape {m.shape}")
+    if m.dtype != bool and (m.dtype.kind not in "iuf" or not np.all((m == 0) | (m == 1))):
+        raise ParameterError(f"{name} values must be exactly 0 or 1")
+    return m.astype(bool)
 
 
 def check_level(t, lo, hi, name) -> int:
@@ -82,12 +95,7 @@ class LatentSequence:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 4 or min(data.shape) < 1:
-            raise ParameterError(f"sequence must be a nonempty (F, C, H, W) array, got shape {data.shape}")
-        if not all_finite(data):
-            raise ParameterError("sequence contains non-finite values")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", check_latent(self.data, "sequence", "FCHW"))
 
     def __len__(self) -> int:
         return self.data.shape[0]

@@ -3,7 +3,9 @@
 Layout: magic "LTS1", then five little-endian u32 (F, C, H, W, flags), then
 F*C*H*W float32 little-endian values in frame-major, channel, row, column
 order.  Flag bit 0 marks a mask payload: C must be 1 and every value must be
-exactly 0.0 or 1.0.  No other flag bit is defined, so flags is 0 or 1.
+exactly 0.0 or 1.0, the rule of core.check_mask, which write_lts and
+save_masks apply; read_lts checks a file against it and raises FormatError.
+No other flag bit is defined, so flags is 0 or 1.
 
 All writers go through an atomic temp-file + rename so a crashed process
 never leaves a half-written file behind.
@@ -17,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .core import LatentSequence, all_finite, check_level
+from .core import LatentSequence, all_finite, check_level, check_mask
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
@@ -49,6 +51,8 @@ def atomic_write_bytes(path, *chunks) -> None:
 def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
     """Serialize a (F, C, H, W) float array; payload is stored as float32."""
     flags = check_level(flags, 0, FLAG_MASK, "LTS flags")  # 0 or FLAG_MASK, the one defined bit
+    if flags & FLAG_MASK:
+        data = check_mask(data, (None, 1, None, None), "mask payload")
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 4 or min(data.shape) < 1:
         raise ParameterError(f"LTS payload must be (F, C, H, W), got shape {data.shape}")
@@ -58,13 +62,7 @@ def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
         payload = np.ascontiguousarray(data, dtype="<f4")
     if not all_finite(payload):
         raise ParameterError("LTS payload contains non-finite values")
-    f, c, h, w = data.shape
-    if flags & FLAG_MASK:
-        if c != 1:
-            raise ParameterError(f"mask payload requires C=1, got C={c}")
-        if not np.all((data == 0.0) | (data == 1.0)):
-            raise ParameterError("mask payload values must be exactly 0.0 or 1.0")
-    header = _HEADER.pack(MAGIC, f, c, h, w, flags)
+    header = _HEADER.pack(MAGIC, *data.shape, flags)
     atomic_write_bytes(path, header, payload)
 
 
@@ -110,11 +108,9 @@ def load_sequence(path) -> LatentSequence:
 
 
 def save_masks(path, masks: np.ndarray) -> None:
-    """Store a (F, H, W) boolean stack as a mask-flagged LTS file."""
-    masks = np.asarray(masks)
-    if masks.ndim != 3:
-        raise ParameterError(f"mask stack must be (F, H, W), got shape {masks.shape}")
-    write_lts(path, masks.astype(np.float64)[:, None], flags=FLAG_MASK)
+    """Store a (F, H, W) mask stack, checked by core.check_mask, as a
+    mask-flagged LTS file."""
+    write_lts(path, check_mask(masks, (None, None, None), "mask stack")[:, None], flags=FLAG_MASK)
 
 
 def load_masks(path) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, check_latent, check_level
+from .core import LatentSequence, NoiseSchedule, check_latent, check_level, check_real
 from .errors import ParameterError
 from .tracking import MaskTrack
 
@@ -69,15 +69,17 @@ def moving_square_scene(
 ) -> tuple[LatentSequence, MaskTrack]:
     """Square of constant value drifting over a zero background.
 
-    velocity is (dx, dy) in pixels per frame (dx = columns, dy = rows); the
-    square clamps at the borders instead of leaving the grid.  Returns the
+    velocity is (dx, dy), whole pixels per frame (dx = columns, dy = rows);
+    the square clamps at the borders instead of leaving the grid.  Returns the
     latent sequence and the exact per-frame masks as a fully linked track.
     """
     frames = check_level(frames, 1, math.inf, "frames")
     grid = check_level(grid, 1, math.inf, "grid")
     square = check_level(square, 1, grid, "square side")
     channels = check_level(channels, 1, math.inf, "channels")
-    dx, dy = int(velocity[0]), int(velocity[1])
+    dx = check_level(velocity[0], -math.inf, math.inf, "velocity dx")
+    dy = check_level(velocity[1], -math.inf, math.inf, "velocity dy")
+    value = check_real(value, -math.inf, math.inf, "value")
     hi = grid - square
     data = np.zeros((frames, channels, grid, grid))
     masks = np.zeros((frames, grid, grid), dtype=bool)

@@ -1,9 +1,10 @@
 """Latent-space mask segmentation and overlap-linked tracking.
 
-Masks are boolean (H, W) grids.  Tracking is deliberately simple: segment
-every frame independently, then link frame k to frame k-1 by IoU; a frame
-whose overlap does not exceed the threshold keeps the previous frame's mask
-so one bad segmentation cannot yank the region across the scene.
+Masks are boolean (H, W) grids; core.check_mask checks every one that enters,
+segmenter output included.  Tracking is deliberately simple: segment every
+frame independently, then link frame k to frame k-1 by IoU; a frame whose
+overlap does not exceed the threshold keeps the previous frame's mask so one
+bad segmentation cannot yank the region across the scene.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Protocol
 import numpy as np
 from scipy import ndimage
 
-from .core import LatentSequence, check_latent, check_real
+from .core import LatentSequence, check_latent, check_mask, check_real
 from .errors import ParameterError
 
 
@@ -37,9 +38,7 @@ class MaskTrack:
     degenerate: bool = False
 
     def __post_init__(self):
-        masks = np.asarray(self.masks).astype(bool)
-        if masks.ndim != 3 or masks.shape[0] < 1:
-            raise ParameterError(f"mask stack must be (F, H, W), got shape {np.shape(self.masks)}")
+        masks = check_mask(self.masks, (None, None, None), "mask stack")
         if len(self.linked) != masks.shape[0]:
             raise ParameterError("linked flags must match the number of masks")
         object.__setattr__(self, "masks", masks)
@@ -49,19 +48,10 @@ class MaskTrack:
         return self.masks.shape[0]
 
 
-def _as_mask(m, name="mask") -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ParameterError(f"{name} must be a 2-d grid, got shape {m.shape}")
-    return m.astype(bool)
-
-
 def iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union; two empty masks count as identical (1.0)."""
-    a = _as_mask(a, "a")
-    b = _as_mask(b, "b")
-    if a.shape != b.shape:
-        raise ParameterError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    a = check_mask(a, (None, None), "a")
+    b = check_mask(b, a.shape, "b")
     union = np.logical_or(a, b).sum()
     if union == 0:
         return 1.0
@@ -86,7 +76,7 @@ class ThresholdSegmenter:
     """Segmenter wrapper around threshold_segment."""
 
     def __init__(self, theta: float = 0.5, largest_component: bool = False):
-        self.theta = theta
+        self.theta = check_real(theta, 0, math.inf, "theta")
         self.largest_component = largest_component
 
     def segment(self, x: np.ndarray) -> np.ndarray:
@@ -109,7 +99,7 @@ class OverlapTracker:
         self.degenerate = False
 
     def update(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        m = _as_mask(self._segment(x), "segmenter output")
+        m = check_mask(self._segment(x), np.shape(x)[-2:], "segmenter output")
         if not self.masks:
             # first frame anchors the track even when empty; flag it so
             # downstream consumers can tell the track never locked on

@@ -118,6 +118,16 @@ class TestGammaResidual:
         out = gamma_residual(x, ResidualParams(0.0), RandomSource(0))
         assert np.array_equal(out, x)
 
+    def test_zero_gamma_draws_like_any_gamma(self):
+        # gamma 0 consumes its draw, so an ablation changes gamma and not the noise after it
+        x = RandomSource(12).normal(DESK_SHAPE)
+        after = []
+        for gamma in (0.0, 0.1):
+            rng = RandomSource(14)
+            gamma_residual(x, ResidualParams(gamma), rng)
+            after.append(rng.normal(DESK_SHAPE))
+        assert np.array_equal(after[0], after[1])
+
     def test_residual_std(self):
         # gamma 0.1 over 4*64*64 = 16384 elements: sample std within 5%
         x = np.zeros((4, 64, 64))

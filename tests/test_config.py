@@ -192,6 +192,13 @@ def test_dump_parse_round_trip(source):
     assert parse_config(json.dumps(dumped)) == cfg
 
 
+def test_numpy_scalars_dump_as_python_numbers():
+    cfg = validate_config(RunConfig(sampler=SamplerConfig(eta=np.float32(0.5)), seed=np.int64(3)))
+    dumped = dump_config(cfg)
+    assert type(dumped["sampler"]["eta"]) is float and type(dumped["seed"]) is int
+    assert parse_config(json.dumps(dumped)) == cfg
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     source=config_sources(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0), lambda T: 0.99),

@@ -13,10 +13,14 @@ from latentmix.core import (
     RandomSource,
     all_finite,
     check_latent,
+    check_mask,
     forward_diffuse,
     make_schedule,
 )
+from latentmix.blending import BlendParams, blend_region
 from latentmix.errors import ParameterError
+from latentmix.ltsio import FLAG_MASK, load_masks, read_lts, save_masks, write_lts
+from latentmix.tracking import MaskTrack, OverlapTracker, iou
 
 from conftest import traced_peak
 
@@ -335,6 +339,13 @@ class TestContainers:
         out = check_latent(np.zeros((2, 3, 4), dtype=np.float32))
         assert out.dtype == np.float64
 
+    def test_check_latent_takes_the_rank_from_its_axes(self):
+        assert check_latent(np.zeros((1, 2, 3, 4)), "stack", "FCHW").shape == (1, 2, 3, 4)
+        with pytest.raises(ParameterError, match=r"^stack must be a nonempty \(F, C, H, W\) array, got shape \(2, 3, 4\)$"):
+            check_latent(np.zeros((2, 3, 4)), "stack", "FCHW")
+        with pytest.raises(ParameterError, match=r"^stack must be a nonempty \(F, C, H, W\) array, got shape \(0, 1, 2, 2\)$"):
+            check_latent(np.zeros((0, 1, 2, 2)), "stack", "FCHW")
+
     def test_sequence_validation(self):
         with pytest.raises(ParameterError):
             LatentSequence(np.zeros((2, 3)))
@@ -343,3 +354,101 @@ class TestContainers:
         seq = LatentSequence(np.stack([np.zeros((2, 4, 4)), np.ones((2, 4, 4))]))
         assert len(seq) == 2
         assert seq.frame(1)[0, 0, 0] == 1.0
+
+
+class TestCheckMask:
+    @pytest.mark.parametrize(
+        "bad",
+        [[[0.0, 0.3]], [[np.nan, 1.0]], [[np.inf, 0.0]], [[2, 1]], [[-1, 0]], [["1", "0"]], [[1j, 0]], np.ones((1, 2), dtype=object)],
+    )
+    def test_other_values_rejected(self, bad):
+        with pytest.raises(ParameterError, match="^m values must be exactly 0 or 1$"):
+            check_mask(bad, (None, None), "m")
+
+    @pytest.mark.parametrize("bad", [None, True, np.zeros(4), np.zeros((1, 2, 2)), np.zeros((0, 2)), np.zeros((3, 3))])
+    def test_wrong_shape_rejected(self, bad):
+        with pytest.raises(ParameterError, match=r"^m must be a nonempty \(\?, 2\) array, got shape "):
+            check_mask(bad, (None, 2), "m")
+
+
+GRID = (4, 4)
+REF_MASK = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [1, 1, 0, 0]], dtype=bool)
+
+
+def pixel(i, j):
+    m = np.zeros(GRID, dtype=bool)
+    m[i, j] = True
+    return m
+
+
+class FixedSegmenter:
+    def __init__(self, m):
+        self.m = m
+
+    def segment(self, x):
+        return self.m
+
+
+def tracker_mask(m, _):
+    return OverlapTracker(FixedSegmenter(m), 0.0).update(np.zeros((1, *GRID)))[0]
+
+
+def write_lts_mask(m, tmp_path):
+    write_lts(tmp_path / "w.lts", np.asarray(m)[None, None], FLAG_MASK)
+    return read_lts(tmp_path / "w.lts")[0][0, 0] == 1.0
+
+
+def save_masks_mask(m, tmp_path):
+    save_masks(tmp_path / "m.lts", np.asarray(m)[None])
+    return load_masks(tmp_path / "m.lts")[0]
+
+
+# Each caller of check_mask, given a mask m for a latent on GRID, returns the
+# bool mask it acted on; iou's reads m back pixel by pixel.
+MASK_CALLERS = {
+    "blend_region": lambda m, _: blend_region(np.zeros((1, *GRID)), np.ones((1, *GRID)), m, BlendParams())[0] == 1.0,
+    "iou_a": lambda m, _: np.array([[iou(m, pixel(i, j)) > 0 for j in range(4)] for i in range(4)]),
+    "iou_b": lambda m, _: np.array([[iou(pixel(i, j), m) > 0 for j in range(4)] for i in range(4)]),
+    "OverlapTracker.update": tracker_mask,
+    "MaskTrack": lambda m, _: MaskTrack(np.asarray(m)[None], (True,)).masks[0],
+    "save_masks": save_masks_mask,
+    "write_lts": write_lts_mask,
+}
+
+
+def with_cell(value):
+    m = np.zeros(GRID)
+    m[2, 1] = value
+    return m
+
+
+MASK_CASES = {
+    "bool": REF_MASK,
+    "int": REF_MASK.astype(np.int64),
+    "float": REF_MASK.astype(np.float64),
+    "soft": with_cell(0.3),
+    "nan": with_cell(np.nan),
+    "two": with_cell(2),
+    "string": np.full(GRID, "a"),
+    "objects": REF_MASK.astype(object),
+    "none": None,
+    "rank": np.zeros((1, *GRID)),
+    "zero_size": np.zeros((0, 4)),
+    "off_grid": np.ones((3, 3), dtype=bool),  # for a 4x4 latent
+}
+ACCEPTED = ("bool", "int", "float")
+# iou's a, MaskTrack and the writers take a mask of any size
+ON_ANY_GRID = ("iou_a", "MaskTrack", "save_masks", "write_lts")
+
+
+@pytest.mark.parametrize(
+    "caller, case",
+    [(c, k) for c in MASK_CALLERS for k in MASK_CASES if not (k == "off_grid" and c in ON_ANY_GRID)],
+)
+def test_masks_are_bool_or_binary(caller, case, tmp_path):
+    if case in ACCEPTED:
+        out = MASK_CALLERS[caller](MASK_CASES[case], tmp_path)
+        assert out.dtype == bool and np.array_equal(out, REF_MASK)
+    else:
+        with pytest.raises(ParameterError):
+            MASK_CALLERS[caller](MASK_CASES[case], tmp_path)

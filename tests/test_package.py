@@ -1,7 +1,7 @@
 """Package hygiene: no dead top-level imports, no unreferenced private
 functions or classes, no dangling script entries, declared dependencies
-that match what the package imports, and scalar checks written only in
-core."""
+that match what the package imports, and scalar and tensor checks written
+only in core."""
 
 import ast
 import importlib
@@ -125,3 +125,15 @@ def test_scalar_checks_live_in_core(path):
     other module writes one of their messages by hand."""
     text = path.read_text()
     assert [phrase for phrase in SCALAR_CHECK_PHRASES if phrase in text] == []
+
+
+# the messages of core.check_latent and core.check_mask
+TENSOR_CHECK_PHRASES = ("must be a nonempty", "values must be exactly 0 or 1")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_tensor_checks_live_in_core(path):
+    """A latent, a latent stack or a mask is checked by check_latent or
+    check_mask, so no other module writes one of their messages by hand."""
+    text = path.read_text()
+    assert [phrase for phrase in TENSOR_CHECK_PHRASES if phrase in text] == []

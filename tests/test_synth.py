@@ -125,6 +125,24 @@ class TestMovingSquareScene:
         with pytest.raises(ParameterError):
             moving_square_scene(0, 8, 3, (1, 0))
 
+    @pytest.mark.parametrize(
+        "velocity, value, message",
+        [
+            ((1.7, 0), 1.0, "^velocity dx must be an integer, got 1.7$"),
+            ((1, True), 1.0, "^velocity dy must be an integer, got True$"),
+            ((1, 0), "0.5", "^value must be a number, got '0.5'$"),
+        ],
+    )
+    def test_velocity_and_value_checked(self, velocity, value, message):
+        with pytest.raises(ParameterError, match=message):
+            moving_square_scene(4, 8, 3, velocity, value=value)
+
+    def test_negative_velocity_clamps_at_the_border(self):
+        _, track = moving_square_scene(3, 8, 2, (-2, -1))
+        for k in range(3):
+            assert np.array_equal(track.masks[k], track.masks[0])
+        assert track.masks[0][:2, :2].all() and track.masks[0].sum() == 4
+
 
 class TestCheckerboard:
     def test_pattern(self):

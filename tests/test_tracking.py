@@ -138,6 +138,12 @@ class TestThresholdSegment:
         with pytest.raises(ParameterError, match="^theta must be finite, got "):
             threshold_segment(np.ones((1, 4, 4)), theta)
 
+    @pytest.mark.parametrize("theta", [True, "0.5", -0.1, np.nan])
+    def test_segmenter_checks_theta_when_built(self, theta):
+        # not at its first segment call, partway through a clip
+        with pytest.raises(ParameterError, match="^theta must "):
+            ThresholdSegmenter(theta)
+
     @pytest.mark.parametrize("bad", [[np.inf], [np.nan], [np.inf, -np.inf]])
     def test_non_finite_rejected(self, bad):
         # a non-finite pixel inside the square must not just shrink the mask
