@@ -6,6 +6,12 @@ latent from settling into an off-manifold fixed point; reinit_tail_noise
 builds the noise for a freshly appended queue tail by keeping the low
 spatial frequencies of the most recent output (re-noised to the terminal
 level) and replacing the rest with fresh noise.
+
+The low-pass band is a square in frequency, so it is separable: its mask is
+the outer product of a row band and a column band, and projecting a
+(C, H, W) stack onto it is L_h @ d @ L_w.T with two real circulant
+matrices.  reinit_tail_noise builds the pair from lowpass_mask once per
+(h, w, cutoff) and keeps it read-only.
 """
 
 from __future__ import annotations
@@ -95,6 +101,28 @@ def _lowpass_mask(h: int, w: int, cutoff: float) -> np.ndarray:
     return mask
 
 
+def _circulant(band: np.ndarray) -> np.ndarray:
+    """The real (n, n) matrix L with L @ d = ifft(band * fft(d)) along axis
+    0: L[i, j] = c[(i - j) % n] with c the inverse transform of the band,
+    which is real because the band is even in its frequency."""
+    n = len(band)
+    c = np.fft.ifft(band).real
+    return c[(np.arange(n)[:, None] - np.arange(n)) % n]
+
+
+@functools.lru_cache(maxsize=16)
+def _band_factors(h: int, w: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only matrices L_h (h, h) and L_w.T (w, w) with
+    L_h @ d @ L_w.T = ifft2(lowpass_mask(h, w, cutoff) * fft2(d)) for a real
+    (h, w) grid d.  The mask is m_h(u) * m_w(v), and both bands contain
+    frequency 0 unless the mask is empty, so its first column and row are
+    m_h and m_w."""
+    mask = lowpass_mask(h, w, cutoff)
+    left, right = _circulant(mask[:, 0]), _circulant(mask[0]).T.copy()
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 def reinit_tail_noise(
     x_recent: np.ndarray, s: NoiseSchedule, cutoff: float, rng: RandomSource
 ) -> np.ndarray:
@@ -105,19 +133,17 @@ def reinit_tail_noise(
     the diffused frame and the rest from the fresh noise; since the split is
     linear, that is
 
-        fresh + lowpass(diffused - fresh)
+        fresh + lowpass(diffused - fresh) = fresh + L_h @ (diffused - fresh) @ L_w.T
 
-    with one real 2-d transform pair: the low-pass mask is symmetric under
-    (u, v) -> (-u, -v), so the filtered spectrum stays Hermitian and the
-    half spectrum of rfft2 carries all of it.  cutoff 0 keeps no band, so
-    the result is fresh + 0.
+    with the cached separable factors of the module docstring.  cutoff 0
+    keeps no band: both factors are zero, so the result is fresh + 0.
     """
     x_recent = check_latent(x_recent, "x_recent")
     _, h, w = x_recent.shape
-    mask = lowpass_mask(h, w, cutoff)
+    left, right = _band_factors(h, w, check_real(cutoff, 0, 0.5, "cutoff"))
     diffused = forward_diffuse(x_recent, s.T, s, rng)
     fresh = rng.normal(x_recent.shape)
     diffused -= fresh
-    low = np.fft.irfft2(mask[:, : w // 2 + 1] * np.fft.rfft2(diffused), s=(h, w))
+    low = left @ diffused @ right
     low += fresh
     return low

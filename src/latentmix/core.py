@@ -1,5 +1,6 @@
 """Latent containers, noise schedules, the seeded random source, and the
-library's rules: check_level, check_real, check_latent and check_mask.
+library's rules: check_level, check_real, as_real_array, check_latent and
+check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  All stochastic code draws from RandomSource so that
@@ -22,6 +23,7 @@ DEFAULT_T = 1000
 MAX_T = 100_000
 DEFAULT_BETA_START = 0.00085
 DEFAULT_BETA_END = 0.012
+_FLOAT64 = np.dtype(np.float64)
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -36,10 +38,22 @@ def all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
+def as_real_array(x, name: str) -> np.ndarray:
+    """x as a float64 array.  Bools, integers and reals are cast; complex,
+    string and object input is rejected before the cast, which would drop
+    an imaginary part or raise numpy's own error."""
+    x = np.asarray(x)
+    if x.dtype != _FLOAT64:
+        if x.dtype.kind not in "biuf":
+            raise ParameterError(f"{name} must be a real array, got dtype {x.dtype}")
+        x = x.astype(np.float64)
+    return x
+
+
 def check_latent(x, name: str = "latent", axes: str = "CHW") -> np.ndarray:
     """Coerce to a float64 array with one nonempty axis per letter of axes
     and validate finiteness."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_real_array(x, name)
     if x.ndim != len(axes) or 0 in x.shape:
         raise ParameterError(f"{name} must be a nonempty ({', '.join(axes)}) array, got shape {x.shape}")
     if not all_finite(x):
@@ -96,6 +110,14 @@ class LatentSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "data", check_latent(self.data, "sequence", "FCHW"))
+
+    @classmethod
+    def _checked(cls, data: np.ndarray) -> "LatentSequence":
+        """Wrap a float64 (F, C, H, W) array that its producer has already
+        checked finite, without scanning it again."""
+        seq = object.__new__(cls)
+        seq.__dict__["data"] = data
+        return seq
 
     def __len__(self) -> int:
         return self.data.shape[0]

@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .core import LatentSequence, all_finite, check_level, check_mask
+from .core import LatentSequence, all_finite, as_real_array, check_level, check_mask
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
@@ -53,7 +53,7 @@ def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
     flags = check_level(flags, 0, FLAG_MASK, "LTS flags")  # 0 or FLAG_MASK, the one defined bit
     if flags & FLAG_MASK:
         data = check_mask(data, (None, 1, None, None), "mask payload")
-    data = np.asarray(data, dtype=np.float64)
+    data = as_real_array(data, "LTS payload")
     if data.ndim != 4 or min(data.shape) < 1:
         raise ParameterError(f"LTS payload must be (F, C, H, W), got shape {data.shape}")
     # Check what is stored: a finite float64 beyond the float32 range would
@@ -104,7 +104,7 @@ def load_sequence(path) -> LatentSequence:
     data, flags = read_lts(path)
     if flags & FLAG_MASK:
         raise FormatError(f"{path}: expected latent payload, found mask payload")
-    return LatentSequence(data)
+    return LatentSequence._checked(data)  # read_lts has scanned the payload
 
 
 def save_masks(path, masks: np.ndarray) -> None:

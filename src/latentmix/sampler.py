@@ -40,12 +40,20 @@ operands x_t, eps_hat, the scaled noise n = sigma_t * z and the velocity v:
     x0_hat  [ A + kappa*cx       B + kappa*ce           -kappa*w        kappa*beta   ]
 
 The v' row is beta * v + (1 - beta) * g_t written out, and the x_prev row
-is P times the x0_hat row plus dir_t + n.  The step copies its operands
-into one (k, C*H*W) block, the n column only when sigma_t > 0, and emits
-x_prev and v' with one matrix product.  x0_hat is its row applied to the
-same block, computed the first time it is read.  With kappa = 0 the
+is P times the x0_hat row plus dir_t + n.  The matrix, sigma_t and the
+x0_hat row depend only on the hop's Python floats (ab_t, ab_prev, eta,
+beta, lam, kappa), so _momentum_map builds them once per hop and memoises
+them, read-only; a FIFO queue that steps every slot through the same
+levels pays for each hop once.  The n column is there only when
+sigma_t > 0.  The step copies its operands into one (k, C*H*W) block and
+emits x_prev and v' with one matrix product.  x0_hat is its row applied to
+the same block, computed the first time it is read.  With kappa = 0 the
 x_prev and x0_hat rows leave the v column out (it is last for that
 reason), so even a non-finite v cannot reach them: 0 * nan is nan.
+
+A MomentumState checks its hyperparameters when it is built and keeps the
+Python floats check_real returns; the state a step hands back carries them
+unchanged, so it is not checked again.
 
 The latent-only hop (ddim_sample, ddim_invert) keeps nothing but the latent
 and folds the emission into two coefficients:
@@ -90,12 +98,11 @@ class StepOutput:
 
     x_prev: np.ndarray
     _terms: np.ndarray = dataclasses.field(repr=False)
-    _x0_row: list[float] = dataclasses.field(repr=False)
+    _x0_row: np.ndarray = dataclasses.field(repr=False)
 
     @functools.cached_property
     def x0_hat(self) -> np.ndarray:
-        row = np.array(self._x0_row)
-        return (row @ self._terms[: len(row)]).reshape(self.x_prev.shape)
+        return (self._x0_row @ self._terms[: len(self._x0_row)]).reshape(self.x_prev.shape)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,7 +110,9 @@ class MomentumState:
     """Velocity buffer and momentum hyperparameters for one trajectory.
 
     v starts at zeros, so the first corrected step at t=T equals the vanilla
-    step.  A step never writes into v; it returns a new state instead.
+    step.  A step never writes into v; it returns a new state instead.  The
+    hyperparameters are checked on construction and kept as the Python
+    numbers check_real and check_level return.
     """
 
     v: np.ndarray
@@ -113,14 +122,21 @@ class MomentumState:
     T: int
 
     def __post_init__(self):
-        check_real(self.beta, 0, 1, "momentum beta")
-        check_real(self.lam, 0, math.inf, "lam")
-        check_real(self.kappa0, 0, math.inf, "kappa0")
-        check_level(self.T, 1, math.inf, "T")
+        object.__setattr__(self, "beta", check_real(self.beta, 0, 1, "momentum beta"))
+        object.__setattr__(self, "lam", check_real(self.lam, 0, math.inf, "lam"))
+        object.__setattr__(self, "kappa0", check_real(self.kappa0, 0, math.inf, "kappa0"))
+        object.__setattr__(self, "T", check_level(self.T, 1, math.inf, "T"))
 
     @classmethod
     def fresh(cls, shape, T: int, beta: float = 0.9, lam: float = 1.0, kappa0: float = 2.0) -> "MomentumState":
         return cls(v=np.zeros(shape), beta=beta, lam=lam, kappa0=kappa0, T=T)
+
+    def _advance(self, v: np.ndarray) -> "MomentumState":
+        """This state with velocity v, built without running the checks
+        again: the hyperparameters were checked when this state was."""
+        successor = object.__new__(MomentumState)
+        successor.__dict__.update(self.__dict__, v=v)
+        return successor
 
 
 def kappa_at(t: int, T: int, kappa0: float) -> float:
@@ -128,12 +144,14 @@ def kappa_at(t: int, T: int, kappa0: float) -> float:
     return kappa0 * (1.0 - t / T)
 
 
-def sigma_for(s: NoiseSchedule, t: int, t_prev: int, eta: float) -> float:
+def _sigma(ab_t: float, ab_prev: float, eta: float) -> float:
     if eta == 0.0:
         return 0.0
-    ab_t = s.alpha_bar[t]
-    ab_prev = s.alpha_bar[t_prev]
-    return eta * np.sqrt((1.0 - ab_prev) / (1.0 - ab_t)) * np.sqrt(1.0 - ab_t / ab_prev)
+    return eta * math.sqrt((1.0 - ab_prev) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_prev)
+
+
+def sigma_for(s: NoiseSchedule, t: int, t_prev: int, eta: float) -> float:
+    return _sigma(float(s.alpha_bar[t]), float(s.alpha_bar[t_prev]), eta)
 
 
 def _predict(denoiser, x_t, t):
@@ -153,28 +171,27 @@ def _noise(rng, sigma, shape):
     return z
 
 
-def _coefficients(s, t, t_to) -> tuple[float, float, float]:
-    """A, B and P for a hop from level t to t_to; the schedule keeps every
-    alpha_bar positive, so A is finite."""
-    ab = float(s.alpha_bar[t])
-    a = 1.0 / math.sqrt(ab)
-    return a, -math.sqrt(1.0 - ab) * a, math.sqrt(float(s.alpha_bar[t_to]))
+def _coefficients(ab_t: float, ab_to: float) -> tuple[float, float, float]:
+    """A, B and P for a hop from level t to t_to, given their alpha_bar; the
+    schedule keeps every alpha_bar positive, so A is finite."""
+    a = 1.0 / math.sqrt(ab_t)
+    return a, -math.sqrt(1.0 - ab_t) * a, math.sqrt(ab_to)
 
 
-def _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev):
-    """Validate a reverse hop t -> t_prev (default t-1) and query the
-    denoiser once.  Returns eps_hat, A, B, P, D and the scaled noise (None
-    when sigma is 0).  x_t must already be a checked latent."""
+def _reverse_hop(ab_t: float, ab_prev: float, eta: float) -> tuple[float, float, float, float, float]:
+    """A, B, P, D and sigma for a reverse hop."""
+    sigma = _sigma(ab_t, ab_prev, eta)
+    return *_coefficients(ab_t, ab_prev), math.sqrt(max(1.0 - ab_prev - sigma * sigma, 0.0)), sigma
+
+
+def _check_reverse(s, t, t_prev, eta, rng) -> tuple[int, int, float]:
+    """Validate a reverse hop t -> t_prev (default t-1) and its eta."""
     t = check_level(t, 1, s.T, "step source t")
     t_prev = t - 1 if t_prev is None else check_level(t_prev, 0, t - 1, "t_prev")
     eta = check_real(eta, 0, 1, "eta")
     if eta > 0.0 and rng is None:
         raise ParameterError("eta > 0 requires an rng")
-    eps_hat = _predict(denoiser, x_t, t)
-    a, b, p = _coefficients(s, t, t_prev)
-    sigma = sigma_for(s, t, t_prev, eta)
-    width = math.sqrt(max(1.0 - s.alpha_bar[t_prev] - sigma * sigma, 0.0))
-    return eps_hat, a, b, p, width, _noise(rng, sigma, x_t.shape)
+    return t, t_prev, eta
 
 
 def _latent_hop(x_t, eps, a, b, p, width, noise=None, out=None):
@@ -186,6 +203,28 @@ def _latent_hop(x_t, eps, a, b, p, width, noise=None, out=None):
     if noise is not None:
         x_prev += noise
     return x_prev
+
+
+# one entry per hop of a T = 1000 grid
+@functools.lru_cache(maxsize=1024)
+def _momentum_map(ab_t: float, ab_prev: float, eta: float, beta: float, lam: float, kappa: float):
+    """The momentum map of the module docstring for one hop, from Python
+    floats the caller has checked.  Returns the read-only (2, k) matrix over
+    the columns x_t, eps_hat, n (only when sigma_t > 0) and v; sigma_t; and
+    the read-only x0_hat row, which leaves the v column out when kappa is 0."""
+    a, b, p, width, sigma = _reverse_hop(ab_t, ab_prev, eta)
+    w = 1.0 - beta
+    cx, ce = w * (1.0 - p * a), w * ((lam - 1.0) * width - p * b)
+    x0_row = [a + kappa * cx, b + kappa * ce, -kappa * w, kappa * beta]
+    v_row = [cx, ce, -w, beta]
+    x_row = [p * x0_row[0], p * x0_row[1] + width, 1.0 + p * x0_row[2], p * x0_row[3]]
+    coef, x0_row = np.array([x_row, v_row]), np.array(x0_row)
+    if sigma == 0.0:
+        coef, x0_row = np.delete(coef, 2, axis=1), np.delete(x0_row, 2)
+    if kappa == 0.0:
+        x0_row = x0_row[:-1]
+    coef.flags.writeable = x0_row.flags.writeable = False
+    return coef, sigma, x0_row
 
 
 def momentum_step(
@@ -203,38 +242,30 @@ def momentum_step(
     Forms the drift against the provisional DDIM emission, updates the
     velocity buffer, then emits from the corrected x0 estimate; one noise
     sample serves both the drift and the emission.  The provisional
-    emission is never materialised: the step is the momentum map of the
-    module docstring, one matrix product over a copy of its operands.  With
-    kappa0 = 0 this is the vanilla DDIM step.  state is not modified; the
-    updated velocity comes back in a new MomentumState.
+    emission is never materialised: the step is the memoised momentum map
+    of the module docstring, one matrix product over a copy of its
+    operands.  With kappa0 = 0 this is the vanilla DDIM step.  state is not
+    modified; the updated velocity comes back in a new MomentumState.
     """
     x_t = check_latent(x_t, "x_t")
     if state.T != s.T:
         raise ParameterError(f"state horizon T={state.T} does not match schedule T={s.T}")
     if state.v.shape != x_t.shape:
         raise ParameterError(f"state velocity shape {state.v.shape} does not match latent {x_t.shape}")
-    eps, a, b, p, width, noise = _reverse_terms(x_t, t, denoiser, s, eta, rng, t_prev)
+    t, t_prev, eta = _check_reverse(s, t, t_prev, eta, rng)
+    eps = _predict(denoiser, x_t, t)
     kappa = kappa_at(t, state.T, state.kappa0)
-    beta, w = state.beta, 1.0 - state.beta
-    cx, ce = w * (1.0 - p * a), w * ((state.lam - 1.0) * width - p * b)
-    # columns x_t, eps_hat, n, v
-    x0_row = [a + kappa * cx, b + kappa * ce, -kappa * w, kappa * beta]
-    v_row = [cx, ce, -w, beta]
-    x_row = [p * x0_row[0], p * x0_row[1] + width, 1.0 + p * x0_row[2], p * x0_row[3]]
-    operands = [x_t, eps, noise, state.v]
-    if noise is None:
-        for row in (x0_row, v_row, x_row, operands):
-            del row[2]
+    ab = s.alpha_bar
+    coef, sigma, x0_row = _momentum_map(float(ab[t]), float(ab[t_prev]), eta, state.beta, state.lam, kappa)
+    noise = _noise(rng, sigma, x_t.shape)
+    operands = (x_t, eps, state.v) if noise is None else (x_t, eps, noise, state.v)
     terms = np.concatenate(operands).reshape(len(operands), -1)
-    coef = np.array([x_row, v_row])
     if kappa == 0.0:
         # a zero coefficient would still let 0 * nan through: leave v out
         x_prev, v = coef[0, :-1] @ terms[:-1], coef[1] @ terms
-        del x0_row[-1]
     else:
         x_prev, v = coef @ terms
-    out = StepOutput(x_prev.reshape(x_t.shape), terms, x0_row)
-    return out, MomentumState(v=v.reshape(x_t.shape), beta=beta, lam=state.lam, kappa0=state.kappa0, T=state.T)
+    return StepOutput(x_prev.reshape(x_t.shape), terms, x0_row), state._advance(v.reshape(x_t.shape))
 
 
 def step_grid(T: int, steps: int) -> np.ndarray:
@@ -274,7 +305,7 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
     front, and each hop writes its output in place into the next row, so no
     per-hop latent is kept and nothing is stacked afterwards.  x0 is checked
     on entry and every hop's output after it, so a blow-up raises
-    NumericError naming the hop.
+    NumericError naming the hop, and the trajectory is not scanned again.
     """
     x = check_latent(x0, "x0")
     grid = step_grid(s.T, steps)
@@ -284,11 +315,11 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
 
     def hop(x, src, dst):
         eps_hat = _predict(denoiser, x, dst)
-        width = math.sqrt(1.0 - float(s.alpha_bar[dst]))
-        return _latent_hop(x, eps_hat, *_coefficients(s, src, dst), width, out=next(rows))
+        ab_src, ab_dst = float(s.alpha_bar[src]), float(s.alpha_bar[dst])
+        return _latent_hop(x, eps_hat, *_coefficients(ab_src, ab_dst), math.sqrt(1.0 - ab_dst), out=next(rows))
 
-    _sweep("ddim_invert", traj[0], grid, hop)  # every hop writes its row of traj
-    return LatentSequence(traj)
+    _sweep("ddim_invert", traj[0], grid, hop)  # every hop writes its row of traj and is checked
+    return LatentSequence._checked(traj)
 
 
 def ddim_sample(
@@ -307,6 +338,9 @@ def ddim_sample(
     grid = step_grid(s.T, steps if steps is not None else s.T)
 
     def hop(x, t, t_prev):
-        return _latent_hop(x, *_reverse_terms(x, t, denoiser, s, eta, rng, t_prev))
+        t, t_prev, checked_eta = _check_reverse(s, t, t_prev, eta, rng)
+        eps_hat = _predict(denoiser, x, t)
+        *terms, sigma = _reverse_hop(float(s.alpha_bar[t]), float(s.alpha_bar[t_prev]), checked_eta)
+        return _latent_hop(x, eps_hat, *terms, _noise(rng, sigma, x.shape))
 
     return _sweep("ddim_sample", x, grid[::-1], hop)

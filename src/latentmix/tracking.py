@@ -67,8 +67,8 @@ def threshold_segment(x: np.ndarray, theta: float, largest_component: bool = Fal
     if largest_component and mask.any():
         labels, count = ndimage.label(mask)  # default structure = 4-connectivity
         if count > 1:
-            sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
-            mask = labels == (1 + int(np.argmax(sizes)))
+            sizes = np.bincount(labels.ravel())[1:]  # label 0 is the background
+            mask = labels == (1 + int(np.argmax(sizes)))  # a tie goes to the lowest label
     return mask
 
 

@@ -17,9 +17,11 @@ from latentmix.core import (
     forward_diffuse,
     make_schedule,
 )
+from latentmix import core
 from latentmix.blending import BlendParams, blend_region
 from latentmix.errors import ParameterError
-from latentmix.ltsio import FLAG_MASK, load_masks, read_lts, save_masks, write_lts
+from latentmix.ltsio import FLAG_MASK, load_masks, load_sequence, read_lts, save_masks, save_sequence, write_lts
+from latentmix.sampler import MomentumState, ddim_invert, momentum_step
 from latentmix.tracking import MaskTrack, OverlapTracker, iou
 
 from conftest import traced_peak
@@ -452,3 +454,83 @@ def test_masks_are_bool_or_binary(caller, case, tmp_path):
     else:
         with pytest.raises(ParameterError):
             MASK_CALLERS[caller](MASK_CASES[case], tmp_path)
+
+
+class RecordingDenoiser:
+    def predict_eps(self, x_t, t):
+        self.seen = x_t
+        return np.zeros_like(x_t)
+
+
+def momentum_step_latent(x, _):
+    den = RecordingDenoiser()
+    momentum_step(x, 8, den, make_schedule(8), MomentumState.fresh(np.shape(x), 8))
+    return den.seen
+
+
+def write_lts_latent(x, tmp_path):
+    write_lts(tmp_path / "x.lts", np.asarray(x)[None])
+    return read_lts(tmp_path / "x.lts")[0][0]
+
+
+# Each entry point that takes a latent, given an accepted (C, H, W) latent
+# x, returns x as the float64 array it acted on.
+LATENT_CALLERS = {
+    "momentum_step": momentum_step_latent,
+    "LatentSequence": lambda x, _: LatentSequence(np.asarray(x)[None]).frame(0),
+    "blend_region": lambda x, _: blend_region(x, np.zeros(np.shape(x)), np.zeros(np.shape(x)[1:]), BlendParams()),
+    "forward_diffuse": lambda x, _: forward_diffuse(x, 0, make_schedule(8), RandomSource(0)),
+    "write_lts": write_lts_latent,
+}
+
+LATENT_CASES = {
+    "float32": np.ones((2, 3, 4), dtype=np.float32),
+    "int": np.ones((2, 3, 4), dtype=np.int64),
+    "complex": np.full((2, 3, 4), 1 + 2j),
+    "complex_list": [[[1.0, 1j]]],
+    "string": np.full((2, 3, 4), "a"),
+    "objects": np.ones((2, 3, 4), dtype=object),
+    "dict": {"a": 1},
+}
+ACCEPTED_LATENTS = ("float32", "int")
+
+
+@pytest.mark.parametrize("caller, case", [(c, k) for c in LATENT_CALLERS for k in LATENT_CASES])
+def test_latents_are_real_arrays(caller, case, tmp_path):
+    # complex input used to lose its imaginary part with only a warning, and
+    # strings raised numpy's own ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if case in ACCEPTED_LATENTS:
+            out = LATENT_CALLERS[caller](LATENT_CASES[case], tmp_path)
+            assert out.dtype == np.float64 and np.array_equal(out, np.ones((2, 3, 4)))
+        else:
+            with pytest.raises(ParameterError, match=" must be a real array, got dtype "):
+                LATENT_CALLERS[caller](LATENT_CASES[case], tmp_path)
+
+
+def test_check_latent_keeps_a_float64_array():
+    x = np.zeros((2, 3, 4))
+    assert check_latent(x) is x
+    assert check_latent(np.ones((1, 2, 2), dtype=bool)).dtype == np.float64
+
+
+def test_checked_sequences_are_not_scanned_again(monkeypatch, tmp_path):
+    # ddim_invert checks every hop's row and read_lts scans the stored
+    # payload, so neither wraps its result through check_latent again
+    x0 = RandomSource(6).normal((2, 3, 4))
+    scans, check_latent = [], core.check_latent
+
+    def counting(x, name="latent", axes="CHW"):
+        scans.append(name)
+        return check_latent(x, name, axes)
+
+    monkeypatch.setattr(core, "check_latent", counting)
+    seq = ddim_invert(x0, RecordingDenoiser(), make_schedule(8), 4)
+    save_sequence(tmp_path / "seq.lts", seq)
+    back = load_sequence(tmp_path / "seq.lts")
+    assert scans == []
+    assert back.data.dtype == np.float64 and back.data.shape == (5, 2, 3, 4)
+    assert np.array_equal(back.data, seq.data.astype(np.float32))
+    LatentSequence(back.data)
+    assert scans == ["sequence"]

@@ -137,6 +137,9 @@ def test_read_rejects_non_finite(tmp_path, bad):
     path.write_bytes(header + struct.pack("<2f", 0.5, bad))
     with pytest.raises(FormatError, match="payload contains non-finite values$"):
         read_lts(path)
+    # load_sequence trusts read_lts's scan, so it must raise the same way
+    with pytest.raises(FormatError, match="payload contains non-finite values$"):
+        load_sequence(path)
 
 
 def test_write_rejects_non_finite(tmp_path):

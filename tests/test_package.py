@@ -127,8 +127,8 @@ def test_scalar_checks_live_in_core(path):
     assert [phrase for phrase in SCALAR_CHECK_PHRASES if phrase in text] == []
 
 
-# the messages of core.check_latent and core.check_mask
-TENSOR_CHECK_PHRASES = ("must be a nonempty", "values must be exactly 0 or 1")
+# the messages of core.check_latent, core.as_real_array and core.check_mask
+TENSOR_CHECK_PHRASES = ("must be a nonempty", "values must be exactly 0 or 1", "must be a real array")
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)

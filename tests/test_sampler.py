@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from latentmix.blending import BlendParams, ResidualParams, lowpass_mask
 from latentmix.core import RandomSource, check_latent, forward_diffuse, make_schedule
 from latentmix.errors import NumericError, ParameterError
+from latentmix import sampler
 from latentmix.sampler import (
     MomentumState,
+    _momentum_map,
     ddim_invert,
     ddim_sample,
     kappa_at,
@@ -621,6 +623,74 @@ class TestLinearMap:
             x0_hat = (x - np.sqrt(1 - ab[t_src]) * eps) / np.sqrt(ab[t_src])
             x = np.sqrt(ab[t_dst]) * x0_hat + np.sqrt(1 - ab[t_dst]) * eps
             assert np.max(np.abs(traj.frame(k + 1) - x)) < self.TOL
+
+
+class TestPayOncePerHop:
+    """momentum_step builds each hop's map once and carries the checked
+    state forward; these count the work instead of timing it."""
+
+    def trajectory(self, s, state, passes=1, hops=16):
+        den, rng = MixDenoiser(seed=5), RandomSource(90)
+        grid = step_grid(s.T, hops).tolist()
+        outs = []
+        for _ in range(passes):
+            x, st_ = RandomSource(91).normal(DESK_SHAPE), state
+            for t, t_prev in zip(grid[:0:-1], grid[-2::-1]):
+                out, st_ = momentum_step(x, t, den, s, st_, eta=0.5, rng=rng, t_prev=t_prev)
+                outs += [out.x_prev, out.x0_hat, st_.v]
+                x = out.x_prev
+        return outs
+
+    def test_check_real_runs_once_per_step(self, desk_schedule, monkeypatch):
+        state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T)
+        calls, check_real = [], sampler.check_real
+
+        def counting(x, lo, hi, name):
+            calls.append(name)
+            return check_real(x, lo, hi, name)
+
+        monkeypatch.setattr(sampler, "check_real", counting)
+        self.trajectory(desk_schedule, state)
+        assert calls == ["eta"] * 16
+
+    def test_map_is_built_once_per_hop(self, desk_schedule):
+        _momentum_map.cache_clear()
+        self.trajectory(desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T), passes=2)
+        info = _momentum_map.cache_info()
+        assert (info.misses, info.hits) == (16, 16)
+
+    def test_numpy_hyperparameters_step_like_python_floats(self, desk_schedule):
+        # np.float32(0.5) hashes and compares equal to 0.5, so a map memoised
+        # on it would be shared with a Python-float state though it computes
+        # in float32; the state keeps check_real's Python float, so both
+        # states step bit for bit alike, whichever filled the cache
+        v = RandomSource(92).normal(DESK_SHAPE)
+        typed = MomentumState(v=v, beta=np.float32(0.5), lam=np.float32(0.75), kappa0=np.int64(2), T=np.int64(64))
+        plain = MomentumState(v=v, beta=0.5, lam=0.75, kappa0=2.0, T=64)
+        assert [type(getattr(typed, f)) for f in ("beta", "lam", "kappa0", "T")] == [float, float, float, int]
+        _momentum_map.cache_clear()
+        first = self.trajectory(desk_schedule, typed)
+        _momentum_map.cache_clear()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, self.trajectory(desk_schedule, plain)))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, self.trajectory(desk_schedule, typed)))
+
+    @pytest.mark.parametrize("eta, kappa", [(0.0, 0.0), (0.5, 0.0), (0.0, 1.5), (0.5, 1.5)])
+    def test_cached_map_is_read_only(self, eta, kappa):
+        coef, sigma, x0_row = _momentum_map(0.5, 0.8, eta, 0.9, 1.0, kappa)
+        assert coef.shape == (2, 4 if eta > 0 else 3)
+        assert len(x0_row) == coef.shape[1] - (kappa == 0.0)
+        assert (sigma > 0) == (eta > 0)
+        for a in (coef, x0_row):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+        assert _momentum_map(0.5, 0.8, eta, 0.9, 1.0, kappa)[0] is coef
+
+    def test_carried_state_keeps_its_hyperparameters(self, desk_schedule):
+        state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T, beta=0.8, lam=0.6, kappa0=1.5)
+        _, new_state = momentum_step(RandomSource(93).normal(DESK_SHAPE), 30, MixDenoiser(), desk_schedule, state)
+        assert (new_state.beta, new_state.lam, new_state.kappa0, new_state.T) == (0.8, 0.6, 1.5, desk_schedule.T)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            new_state.beta = 0.1
 
 
 class TestFiniteness:

@@ -2,6 +2,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +126,24 @@ class TestThresholdSegment:
             best = max(comps, key=len)
             assert out.sum() == len(best)
             assert all(out[y, x] for y, x in best)
+
+    def test_largest_component_tie_goes_to_the_lowest_label(self):
+        x = np.zeros((1, 6, 6))
+        x[0, 0:2, 4:6] = 1.0  # label 1 in scan order, 4 px
+        x[0, 4:6, 0:2] = 1.0  # label 2, 4 px
+        assert np.array_equal(threshold_segment(x, 0.5, largest_component=True), square_mask(6, 0, 4, 2))
+
+    def test_largest_component_matches_sum_labels_rule(self):
+        rng = RandomSource(34)
+        for trial in range(200):
+            noise = rng.uniform((2, 7, 9))
+            raw = np.mean(noise, axis=0) > 0.5
+            labels, count = ndimage.label(raw)
+            expect = raw
+            if count > 1:
+                sizes = ndimage.sum_labels(raw, labels, index=np.arange(1, count + 1))
+                expect = labels == (1 + int(np.argmax(sizes)))
+            assert np.array_equal(threshold_segment(noise, 0.5, largest_component=True), expect)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
