@@ -3,9 +3,10 @@
 Layout: magic "LTS1", then five little-endian u32 (F, C, H, W, flags), then
 F*C*H*W float32 little-endian values in frame-major, channel, row, column
 order.  Flag bit 0 marks a mask payload: C must be 1 and every value must be
-exactly 0.0 or 1.0, the rule of core.check_mask, which write_lts and
-save_masks apply; read_lts checks a file against it and raises FormatError.
-No other flag bit is defined, so flags is 0 or 1.
+exactly 0.0 or 1.0.  That is one rule, core.check_mask on shape
+(F, 1, H, W): write_lts applies it before writing, and read_lts applies it
+to what it read and raises its error as FormatError naming the path.  No
+other flag bit is defined, so flags is 0 or 1.
 
 All writers go through an atomic temp-file + rename so a crashed process
 never leaves a half-written file behind.
@@ -89,10 +90,10 @@ def read_lts(path) -> tuple[np.ndarray, int]:
         raise FormatError(f"{path}: payload contains non-finite values")
     data = stored.astype(np.float64).reshape(f, c, h, w)
     if flags & FLAG_MASK:
-        if c != 1:
-            raise FormatError(f"{path}: mask flag set but C={c}")
-        if not np.all((data == 0.0) | (data == 1.0)):
-            raise FormatError(f"{path}: mask payload has values other than 0.0/1.0")
+        try:
+            check_mask(data, (None, 1, None, None), "mask payload")
+        except ParameterError as e:
+            raise FormatError(f"{path}: {e}") from None
     return data, flags
 
 

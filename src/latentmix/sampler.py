@@ -55,18 +55,27 @@ A MomentumState checks its hyperparameters when it is built and keeps the
 Python floats check_real returns; the state a step hands back carries them
 unchanged, so it is not checked again.
 
-The latent-only hop (ddim_sample, ddim_invert) keeps nothing but the latent
-and folds the emission into two coefficients:
+The sweeps (ddim_sample, ddim_invert) run the deterministic eta = 0 map,
+which keeps nothing but the latent and is the same formula in both
+directions.  A hop from level t to t_to, with A and B from t and P from t_to:
 
-    x_prev = P*A * x_t + (P*B + D) * eps_hat + n
+    x_to = P*A * x_t + (P*B + sqrt(1 - ab_to)) * eps_hat
 
-The inversion hop is that map with the target level's P = sqrt(ab_next) and
-D = sqrt(1 - ab_next) and no noise.  Both sweeps walk their sub-grid through
-one loop that checks every hop's output and raises NumericError naming the
-hop.  Folding the divisions and the provisional emission into coefficients
-re-associates the arithmetic, and the BLAS kernel behind the matrix product
-picks its own summation order: at unit scale the outputs match the formulas
-above to a few ulps (tested to 1e-12), not bit for bit.
+Only the level where the denoiser is queried differs: it is always the
+noisier of the two, the source t when sampling down the grid and the target
+t_to when inverting up it.  Both sweeps walk their sub-grid through one loop
+that checks every hop's output and raises NumericError naming the hop.
+Stochastic DDIM is momentum_step with kappa0 = 0 and eta > 0; the sweeps
+have no noise term.
+
+There are still two kernels, one per traffic path.  A sweep hop is three
+elementwise passes over the latent; the step's copy into an operand block
+and matrix product would cost it more (about 15 against 11 us at 4x40x64 on
+one BLAS thread), while the step needs the block to emit v' and x0_hat from
+the same operands.  Folding the divisions and the provisional emission into
+coefficients re-associates the arithmetic, and the BLAS kernel behind the
+matrix product picks its own summation order: at unit scale the outputs
+match the formulas above to a few ulps (tested to 1e-12), not bit for bit.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, check_latent, check_level, check_real
+from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, as_real_array, check_latent, check_level, check_real
 from .errors import NumericError, ParameterError
 
 
@@ -150,25 +159,13 @@ def _sigma(ab_t: float, ab_prev: float, eta: float) -> float:
     return eta * math.sqrt((1.0 - ab_prev) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_prev)
 
 
-def sigma_for(s: NoiseSchedule, t: int, t_prev: int, eta: float) -> float:
-    return _sigma(float(s.alpha_bar[t]), float(s.alpha_bar[t_prev]), eta)
-
-
 def _predict(denoiser, x_t, t):
-    eps_hat = np.asarray(denoiser.predict_eps(x_t, t), dtype=np.float64)
+    eps_hat = as_real_array(denoiser.predict_eps(x_t, t), "denoiser output")
     if eps_hat.shape != x_t.shape:
         raise ParameterError(f"denoiser output shape {eps_hat.shape} does not match input {x_t.shape}")
     if not all_finite(eps_hat):
         raise ParameterError("denoiser produced non-finite values")
     return eps_hat
-
-
-def _noise(rng, sigma, shape):
-    if sigma == 0.0:
-        return None
-    z = rng.normal(shape)
-    z *= sigma
-    return z
 
 
 def _coefficients(ab_t: float, ab_to: float) -> tuple[float, float, float]:
@@ -178,33 +175,6 @@ def _coefficients(ab_t: float, ab_to: float) -> tuple[float, float, float]:
     return a, -math.sqrt(1.0 - ab_t) * a, math.sqrt(ab_to)
 
 
-def _reverse_hop(ab_t: float, ab_prev: float, eta: float) -> tuple[float, float, float, float, float]:
-    """A, B, P, D and sigma for a reverse hop."""
-    sigma = _sigma(ab_t, ab_prev, eta)
-    return *_coefficients(ab_t, ab_prev), math.sqrt(max(1.0 - ab_prev - sigma * sigma, 0.0)), sigma
-
-
-def _check_reverse(s, t, t_prev, eta, rng) -> tuple[int, int, float]:
-    """Validate a reverse hop t -> t_prev (default t-1) and its eta."""
-    t = check_level(t, 1, s.T, "step source t")
-    t_prev = t - 1 if t_prev is None else check_level(t_prev, 0, t - 1, "t_prev")
-    eta = check_real(eta, 0, 1, "eta")
-    if eta > 0.0 and rng is None:
-        raise ParameterError("eta > 0 requires an rng")
-    return t, t_prev, eta
-
-
-def _latent_hop(x_t, eps, a, b, p, width, noise=None, out=None):
-    """x_prev = P*A * x_t + (P*B + D) * eps_hat (+ n), in three passes,
-    written into out when given.  eps is read, never written: a denoiser
-    may hand back an array it keeps."""
-    x_prev = np.multiply(x_t, p * a, out=out)
-    x_prev += np.multiply(eps, p * b + width)
-    if noise is not None:
-        x_prev += noise
-    return x_prev
-
-
 # one entry per hop of a T = 1000 grid
 @functools.lru_cache(maxsize=1024)
 def _momentum_map(ab_t: float, ab_prev: float, eta: float, beta: float, lam: float, kappa: float):
@@ -212,7 +182,9 @@ def _momentum_map(ab_t: float, ab_prev: float, eta: float, beta: float, lam: flo
     floats the caller has checked.  Returns the read-only (2, k) matrix over
     the columns x_t, eps_hat, n (only when sigma_t > 0) and v; sigma_t; and
     the read-only x0_hat row, which leaves the v column out when kappa is 0."""
-    a, b, p, width, sigma = _reverse_hop(ab_t, ab_prev, eta)
+    sigma = _sigma(ab_t, ab_prev, eta)
+    a, b, p = _coefficients(ab_t, ab_prev)
+    width = math.sqrt(max(1.0 - ab_prev - sigma * sigma, 0.0))
     w = 1.0 - beta
     cx, ce = w * (1.0 - p * a), w * ((lam - 1.0) * width - p * b)
     x0_row = [a + kappa * cx, b + kappa * ce, -kappa * w, kappa * beta]
@@ -252,13 +224,21 @@ def momentum_step(
         raise ParameterError(f"state horizon T={state.T} does not match schedule T={s.T}")
     if state.v.shape != x_t.shape:
         raise ParameterError(f"state velocity shape {state.v.shape} does not match latent {x_t.shape}")
-    t, t_prev, eta = _check_reverse(s, t, t_prev, eta, rng)
+    t = check_level(t, 1, s.T, "step source t")
+    t_prev = t - 1 if t_prev is None else check_level(t_prev, 0, t - 1, "t_prev")
+    eta = check_real(eta, 0, 1, "eta")
+    if eta > 0.0 and rng is None:
+        raise ParameterError("eta > 0 requires an rng")
     eps = _predict(denoiser, x_t, t)
     kappa = kappa_at(t, state.T, state.kappa0)
     ab = s.alpha_bar
     coef, sigma, x0_row = _momentum_map(float(ab[t]), float(ab[t_prev]), eta, state.beta, state.lam, kappa)
-    noise = _noise(rng, sigma, x_t.shape)
-    operands = (x_t, eps, state.v) if noise is None else (x_t, eps, noise, state.v)
+    if sigma == 0.0:
+        operands = (x_t, eps, state.v)
+    else:
+        noise = rng.normal(x_t.shape)
+        noise *= sigma
+        operands = (x_t, eps, noise, state.v)
     terms = np.concatenate(operands).reshape(len(operands), -1)
     if kappa == 0.0:
         # a zero coefficient would still let 0 * nan through: leave v out
@@ -280,12 +260,19 @@ def step_grid(T: int, steps: int) -> np.ndarray:
     return np.rint(np.linspace(0.0, T, steps + 1)).astype(int)
 
 
-def _sweep(name, x, grid, hop):
-    """Apply hop(x, src, dst) between consecutive levels of grid, checking
-    each output finite, and return the last one."""
-    levels = grid.tolist()
-    for src, dst in zip(levels, levels[1:]):
-        x = hop(x, src, dst)
+def _sweep(name, x, levels, denoiser, s, traj=None):
+    """Carry x between consecutive levels by the eta = 0 map of the module
+    docstring, querying the denoiser at the noisier level of each hop, and
+    return the last latent.  With traj, hop k writes into traj[k + 1].
+    Every hop's output is checked finite.  eps_hat is read, never written:
+    a denoiser may hand back an array it keeps."""
+    ab = s.alpha_bar
+    for k, (src, dst) in enumerate(zip(levels, levels[1:])):
+        eps = _predict(denoiser, x, max(src, dst))
+        ab_dst = float(ab[dst])
+        a, b, p = _coefficients(float(ab[src]), ab_dst)
+        x = np.multiply(x, p * a, out=None if traj is None else traj[k + 1])
+        x += np.multiply(eps, p * b + math.sqrt(1.0 - ab_dst))
         if not all_finite(x):
             raise NumericError(f"{name} produced non-finite values in the hop {src} -> {dst}")
     return x
@@ -311,36 +298,16 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
     grid = step_grid(s.T, steps)
     traj = np.empty((len(grid), *x.shape))
     traj[0] = x
-    rows = iter(traj[1:])
-
-    def hop(x, src, dst):
-        eps_hat = _predict(denoiser, x, dst)
-        ab_src, ab_dst = float(s.alpha_bar[src]), float(s.alpha_bar[dst])
-        return _latent_hop(x, eps_hat, *_coefficients(ab_src, ab_dst), math.sqrt(1.0 - ab_dst), out=next(rows))
-
-    _sweep("ddim_invert", traj[0], grid, hop)  # every hop writes its row of traj and is checked
+    _sweep("ddim_invert", traj[0], grid.tolist(), denoiser, s, traj)
     return LatentSequence._checked(traj)
 
 
-def ddim_sample(
-    x_T: np.ndarray,
-    denoiser: Denoiser,
-    s: NoiseSchedule,
-    steps: int | None = None,
-    eta: float = 0.0,
-    rng: RandomSource | None = None,
-) -> np.ndarray:
-    """Full reverse sweep down a uniform sub-grid (default: every level).
+def ddim_sample(x_T: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int | None = None) -> np.ndarray:
+    """Deterministic (eta = 0) reverse sweep down a uniform sub-grid
+    (default: every level).
 
     x_T is checked on entry and every hop's output after it, so a blow-up
     raises NumericError naming the hop instead of returning inf or nan."""
     x = check_latent(x_T, "x_T")
     grid = step_grid(s.T, steps if steps is not None else s.T)
-
-    def hop(x, t, t_prev):
-        t, t_prev, checked_eta = _check_reverse(s, t, t_prev, eta, rng)
-        eps_hat = _predict(denoiser, x, t)
-        *terms, sigma = _reverse_hop(float(s.alpha_bar[t]), float(s.alpha_bar[t_prev]), checked_eta)
-        return _latent_hop(x, eps_hat, *terms, _noise(rng, sigma, x.shape))
-
-    return _sweep("ddim_sample", x, grid[::-1], hop)
+    return _sweep("ddim_sample", x, grid[::-1].tolist(), denoiser, s)

@@ -19,6 +19,10 @@ from scipy import ndimage
 from .core import LatentSequence, check_latent, check_mask, check_real
 from .errors import ParameterError
 
+# 4-connectivity, built once: ndimage.label would rebuild it on every call
+_FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+_FOUR_CONNECTED.flags.writeable = False
+
 
 class Segmenter(Protocol):
     def segment(self, x: np.ndarray) -> np.ndarray: ...
@@ -65,7 +69,7 @@ def threshold_segment(x: np.ndarray, theta: float, largest_component: bool = Fal
     theta = check_real(theta, 0, math.inf, "theta")
     mask = np.mean(np.abs(x), axis=0) > theta
     if largest_component and mask.any():
-        labels, count = ndimage.label(mask)  # default structure = 4-connectivity
+        labels, count = ndimage.label(mask, _FOUR_CONNECTED)
         if count > 1:
             sizes = np.bincount(labels.ravel())[1:]  # label 0 is the background
             mask = labels == (1 + int(np.argmax(sizes)))  # a tie goes to the lowest label

@@ -20,7 +20,7 @@ from latentmix.config import (
 from latentmix.blending import BlendParams, ResidualParams, lowpass_mask
 from latentmix.core import MAX_T, RandomSource, forward_diffuse, make_schedule
 from latentmix.errors import ConfigError, ParameterError
-from latentmix.sampler import MomentumState, ddim_sample, step_grid
+from latentmix.sampler import MomentumState, ddim_sample, momentum_step, step_grid
 from latentmix.synth import OracleSpec, oracle_denoiser
 from latentmix.tracking import OverlapTracker, ThresholdSegmenter
 
@@ -213,7 +213,7 @@ def test_accepted_configs_run(source):
     sch, sa, inj, q = cfg.schedule, cfg.sampler, cfg.injection, cfg.queue
     s = make_schedule(sch.T, sch.beta_start, sch.beta_end, sch.kind)
     step_grid(s.T, q.length)
-    MomentumState.fresh((1, 2, 2), s.T, sa.beta, sa.lam, sa.kappa0)
+    state = MomentumState.fresh((1, 2, 2), s.T, sa.beta, sa.lam, sa.kappa0)
     BlendParams(inj.strength)
     ResidualParams(inj.gamma_res)
     rng = RandomSource(cfg.seed)
@@ -222,15 +222,18 @@ def test_accepted_configs_run(source):
     x0 = np.ones((1, 2, 2))
     x = forward_diffuse(x0, inj.t_prime, s, rng)
     den = oracle_denoiser(OracleSpec(frames=x0[None]), s)
-    ddim_sample(x, den, s, steps=q.length, eta=sa.eta, rng=rng)
+    ddim_sample(x, den, s, steps=q.length)
+    momentum_step(x, inj.t_prime, den, s, state, eta=sa.eta, rng=rng)
 
 
 # JSON key of a real-valued field -> the library call that consumes its value;
-# ddim_sample checks eta before it queries its (here absent) denoiser
+# momentum_step checks eta before it queries its (here absent) denoiser
 REAL_CONSUMERS = {
     ("schedule", "beta_start"): lambda v: make_schedule(8, v, 0.5),
     ("schedule", "beta_end"): lambda v: make_schedule(8, 1e-4, v),
-    ("sampler", "eta"): lambda v: ddim_sample(np.ones((1, 2, 2)), None, make_schedule(8), eta=v, rng=RandomSource(0)),
+    ("sampler", "eta"): lambda v: momentum_step(
+        np.ones((1, 2, 2)), 8, None, make_schedule(8), MomentumState.fresh((1, 2, 2), 8), eta=v, rng=RandomSource(0)
+    ),
     ("sampler", "beta"): lambda v: MomentumState.fresh((1, 2, 2), 8, beta=v),
     ("sampler", "lambda"): lambda v: MomentumState.fresh((1, 2, 2), 8, lam=v),
     ("sampler", "kappa0"): lambda v: MomentumState.fresh((1, 2, 2), 8, kappa0=v),

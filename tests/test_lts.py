@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import struct
 import warnings
 
@@ -95,11 +96,13 @@ def test_read_rejects_undefined_flags(tmp_path):
 
 
 def test_mask_flag_enforced_on_read(tmp_path):
-    path = tmp_path / "bad.lts"
-    header = struct.pack("<4s5I", b"LTS1", 1, 1, 1, 1, FLAG_MASK)
-    path.write_bytes(header + struct.pack("<f", 0.25))
-    with pytest.raises(FormatError):
-        read_lts(path)
+    # a value other than 0.0/1.0, and two channels of valid mask values
+    for name, c, values in [("value.lts", 1, [0.25]), ("channels.lts", 2, [1.0, 0.0])]:
+        path = tmp_path / name
+        header = struct.pack("<4s5I", b"LTS1", 1, c, 1, 1, FLAG_MASK)
+        path.write_bytes(header + struct.pack(f"<{c}f", *values))
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+            read_lts(path)
 
 
 def test_kind_mismatch_on_load(tmp_path):

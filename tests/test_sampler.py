@@ -17,7 +17,6 @@ from latentmix.sampler import (
     ddim_sample,
     kappa_at,
     momentum_step,
-    sigma_for,
     step_grid,
 )
 from latentmix.synth import OracleSpec, checkerboard_frame, moving_square_scene, oracle_denoiser, patch_embedding_proxy
@@ -153,16 +152,15 @@ class TestDdimStep:
         message = r"lie in \[0, 1\]" if np.isfinite(eta) else "be finite"
         with pytest.raises(ParameterError, match=rf"^eta must {message}, got "):
             vanilla_step(x, 32, NoCallDenoiser(), desk_schedule, eta=eta, rng=RandomSource(0))
-        with pytest.raises(ParameterError, match=rf"^eta must {message}, got "):
-            ddim_sample(x, NoCallDenoiser(), desk_schedule, steps=4, eta=eta, rng=RandomSource(0))
 
     def test_eta_requires_rng(self, desk_schedule):
         with pytest.raises(ParameterError):
             vanilla_step(np.zeros(DESK_SHAPE), 5, ZeroDenoiser(), desk_schedule, eta=0.5)
 
     def test_sigma_bound_at_eta_one(self, desk_schedule):
+        ab = desk_schedule.alpha_bar
         for t in range(2, desk_schedule.T + 1):
-            sig = sigma_for(desk_schedule, t, t - 1, 1.0)
+            sig = sampler._sigma(float(ab[t]), float(ab[t - 1]), 1.0)
             assert sig * sig <= 1.0 - desk_schedule.alpha_bar[t - 1] + 1e-12
 
     def test_t_bounds(self, desk_schedule):
@@ -474,7 +472,6 @@ REAL_CALLS = {
     "MomentumState-lam": lambda s, x, den: MomentumState.fresh(DESK_SHAPE, T=s.T, lam=x),
     "MomentumState-kappa0": lambda s, x, den: MomentumState.fresh(DESK_SHAPE, T=s.T, kappa0=x),
     "momentum_step-eta": lambda s, x, den: vanilla_step(np.zeros(DESK_SHAPE), 5, den, s, eta=x, rng=RandomSource(0)),
-    "ddim_sample-eta": lambda s, x, den: ddim_sample(np.zeros(DESK_SHAPE), den, s, steps=4, eta=x, rng=RandomSource(0)),
     "BlendParams-strength": lambda s, x, den: BlendParams(x),
     "ResidualParams-gamma": lambda s, x, den: ResidualParams(x),
     "lowpass_mask-cutoff": lambda s, x, den: lowpass_mask(8, 8, x),
@@ -596,16 +593,23 @@ class TestLinearMap:
 
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     def test_ddim_sample_matches_step_loop(self, desk_schedule, eta):
-        # the sweep folds the emission into two coefficients; it must track
-        # a loop of the raw formulas drawing the same noise
+        # DDIM sampling down a 16-hop grid: ddim_sample folds the eta = 0
+        # emission into two coefficients, and stochastic DDIM is the
+        # kappa0 = 0 momentum step; each must track a loop of the raw
+        # formulas drawing the same noise
         den = MixDenoiser(seed=6)
         x_T = RandomSource(82).normal(DESK_SHAPE)
-        out = ddim_sample(x_T, den, desk_schedule, steps=16, eta=eta, rng=RandomSource(83))
-        grid = step_grid(desk_schedule.T, 16)
+        grid, ab = step_grid(desk_schedule.T, 16).tolist(), desk_schedule.alpha_bar
+        hops = list(zip(grid[:0:-1], grid[-2::-1]))
+        if eta == 0.0:
+            out = ddim_sample(x_T, den, desk_schedule, steps=16)
+        else:
+            rng, out = RandomSource(83), x_T
+            for t, t_prev in hops:
+                out = vanilla_step(out, t, den, desk_schedule, eta=eta, rng=rng, t_prev=t_prev).x_prev
         rng, x = RandomSource(83), x_T
-        for k in range(16, 0, -1):
-            t, t_prev = int(grid[k]), int(grid[k - 1])
-            z = rng.normal(DESK_SHAPE) if sigma_for(desk_schedule, t, t_prev, eta) > 0.0 else None
+        for t, t_prev in hops:
+            z = rng.normal(DESK_SHAPE) if sampler._sigma(float(ab[t]), float(ab[t_prev]), eta) > 0.0 else None
             x = reference_step(x, t, t_prev, den.predict_eps(x, t), desk_schedule, eta, z)[0]
         assert np.max(np.abs(out - x)) < self.TOL
 
@@ -738,6 +742,23 @@ class TestFiniteness:
         with pytest.raises(ParameterError, match="^denoiser produced non-finite values$"):
             ddim_invert(x, Poisoned(), desk_schedule, 4)
 
+    @pytest.mark.parametrize("dtype", [complex, str, object])
+    def test_denoiser_output_must_be_real(self, desk_schedule, dtype):
+        # a cast would drop an imaginary part, or fail with numpy's own error
+        class Unreal:
+            def predict_eps(self, x_t, t):
+                return np.ones_like(x_t).astype(dtype)
+
+        x = RandomSource(84).normal(DESK_SHAPE)
+        state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T)
+        for call in (
+            lambda: momentum_step(x, 5, Unreal(), desk_schedule, state),
+            lambda: ddim_sample(x, Unreal(), desk_schedule, steps=4),
+            lambda: ddim_invert(x, Unreal(), desk_schedule, 4),
+        ):
+            with pytest.raises(ParameterError, match="^denoiser output must be a real array, got dtype "):
+                call()
+
     @pytest.mark.parametrize("steps, hop", [(1, "64 -> 0"), (4, "48 -> 32")])
     def test_ddim_sample_overflow_names_its_hop(self, desk_schedule, steps, hop):
         # with a zero eps each hop scales x by sqrt(ab_prev / ab_t), so the
@@ -767,12 +788,12 @@ class TestFiniteness:
 # within one numpy release, and momentum_step's matrix product rounds as the
 # BLAS kernel sums, so the digest depends on the BLAS build as well.
 GOLDEN_NUMPY = "2.4.6"
-GOLDEN_DIGEST = "29e72560a89b74d3a5637e6868af836c10b1b954877d2f76b2eb72a84494f94a"
+GOLDEN_DIGEST = "57e4af4ffd7a2a931c31c5e966f632296f93af671461c61d985dc85ab4c07cf3"
 
 
 def golden_run(s):
     """A seeded run through every public sweep: a momentum_step trajectory
-    (eta 0.5, kappa0 2), ddim_sample (eta 1) and ddim_invert (16 steps).
+    (eta 0.5, kappa0 2), ddim_sample and ddim_invert (16 steps).
     Returns the sha256 of every latent, estimate and velocity it emits."""
     den = MixDenoiser(seed=8)
     rng = RandomSource(2506)
@@ -784,7 +805,7 @@ def golden_run(s):
         for a in (out.x_prev, out.x0_hat, state.v):
             h.update(a.tobytes())
         x = out.x_prev
-    h.update(ddim_sample(rng.normal(DESK_SHAPE), den, s, eta=1.0, rng=rng).tobytes())
+    h.update(ddim_sample(rng.normal(DESK_SHAPE), den, s).tobytes())
     h.update(ddim_invert(x, den, s, 16).data.tobytes())
     return h.hexdigest()
 

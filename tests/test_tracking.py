@@ -145,6 +145,23 @@ class TestThresholdSegment:
                 expect = labels == (1 + int(np.argmax(sizes)))
             assert np.array_equal(threshold_segment(noise, 0.5, largest_component=True), expect)
 
+    def test_label_gets_one_read_only_structure(self, monkeypatch):
+        # scipy rebuilds its default structure on every call that passes none
+        seen, label = [], ndimage.label
+
+        def recording(mask, structure=None):
+            seen.append(structure)
+            return label(mask, structure)
+
+        monkeypatch.setattr(ndimage, "label", recording)
+        x = np.zeros((1, 6, 6))
+        x[0, 0:2, 0:2] = x[0, 3:6, 3:6] = 1.0
+        for _ in range(2):
+            threshold_segment(x, 0.5, largest_component=True)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert np.array_equal(seen[0], ndimage.generate_binary_structure(2, 1))
+        assert not seen[0].flags.writeable
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             threshold_segment(np.zeros((4, 4)), 0.5)
