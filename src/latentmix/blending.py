@@ -22,7 +22,16 @@ import math
 
 import numpy as np
 
-from .core import NoiseSchedule, RandomSource, check_latent, check_level, check_mask, check_real, forward_diffuse
+from .core import (
+    NoiseSchedule,
+    RandomSource,
+    check_latent,
+    check_level,
+    check_mask,
+    check_real,
+    check_rng,
+    forward_diffuse,
+)
 from .errors import ParameterError
 
 
@@ -73,7 +82,7 @@ def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> n
     """Add gamma-scaled Gaussian noise over the whole latent (no mask).  The
     normal draw is taken at gamma 0 too, so later draws do not depend on gamma."""
     x_mix = check_latent(x_mix, "x_mix")
-    return x_mix + p.gamma * rng.normal(x_mix.shape)
+    return x_mix + p.gamma * check_rng(rng).normal(x_mix.shape)
 
 
 def lowpass_mask(h: int, w: int, cutoff: float) -> np.ndarray:
@@ -141,7 +150,7 @@ def reinit_tail_noise(
     x_recent = check_latent(x_recent, "x_recent")
     _, h, w = x_recent.shape
     left, right = _band_factors(h, w, check_real(cutoff, 0, 0.5, "cutoff"))
-    diffused = forward_diffuse(x_recent, s.T, s, rng)
+    diffused = forward_diffuse(x_recent, s.T, s, rng)  # checks rng before the first draw
     fresh = rng.normal(x_recent.shape)
     diffused -= fresh
     low = left @ diffused @ right

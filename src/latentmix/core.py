@@ -1,6 +1,6 @@
 """Latent containers, noise schedules, the seeded random source, and the
-library's rules: check_level, check_real, as_real_array, check_latent and
-check_mask.
+library's rules: check_level, check_real, check_rng, as_real_array,
+check_latent and check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  All stochastic code draws from RandomSource so that
@@ -210,6 +210,15 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, path={self.path})"
 
 
+def check_rng(rng) -> RandomSource:
+    """Return rng if it is a RandomSource.  Anything else is rejected before
+    a draw: a numpy Generator has a .normal too, but reads normal(shape) as
+    normal(loc=shape)."""
+    if isinstance(rng, RandomSource):
+        return rng
+    raise ParameterError(f"rng must be a RandomSource, got {type(rng).__name__}")
+
+
 def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource) -> np.ndarray:
     """Noise a clean latent to level t: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps.
 
@@ -218,5 +227,5 @@ def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource)
     """
     x0 = check_latent(x0, "x0")
     ab = s.alpha_bar[check_level(t, 0, s.T, "t")]
-    eps = rng.normal(x0.shape)
+    eps = check_rng(rng).normal(x0.shape)
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps

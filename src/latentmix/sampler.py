@@ -87,7 +87,17 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, RandomSource, all_finite, as_real_array, check_latent, check_level, check_real
+from .core import (
+    LatentSequence,
+    NoiseSchedule,
+    RandomSource,
+    all_finite,
+    as_real_array,
+    check_latent,
+    check_level,
+    check_real,
+    check_rng,
+)
 from .errors import NumericError, ParameterError
 
 
@@ -227,8 +237,8 @@ def momentum_step(
     t = check_level(t, 1, s.T, "step source t")
     t_prev = t - 1 if t_prev is None else check_level(t_prev, 0, t - 1, "t_prev")
     eta = check_real(eta, 0, 1, "eta")
-    if eta > 0.0 and rng is None:
-        raise ParameterError("eta > 0 requires an rng")
+    if eta > 0.0:
+        rng = check_rng(rng)  # eta = 0 draws nothing, so its rng goes unchecked
     eps = _predict(denoiser, x_t, t)
     kappa = kappa_at(t, state.T, state.kappa0)
     ab = s.alpha_bar

@@ -18,7 +18,7 @@ from latentmix.core import (
     make_schedule,
 )
 from latentmix import core
-from latentmix.blending import BlendParams, blend_region
+from latentmix.blending import BlendParams, ResidualParams, blend_region, gamma_residual, reinit_tail_noise
 from latentmix.errors import ParameterError
 from latentmix.ltsio import FLAG_MASK, load_masks, load_sequence, read_lts, save_masks, save_sequence, write_lts
 from latentmix.sampler import MomentumState, ddim_invert, momentum_step
@@ -507,6 +507,39 @@ def test_latents_are_real_arrays(caller, case, tmp_path):
         else:
             with pytest.raises(ParameterError, match=" must be a real array, got dtype "):
                 LATENT_CALLERS[caller](LATENT_CASES[case], tmp_path)
+
+
+RNG_SHAPE = (4, 8, 3)
+
+
+def momentum_step_draw(rng, eta=0.5):
+    state = MomentumState.fresh(RNG_SHAPE, 8)
+    return momentum_step(np.ones(RNG_SHAPE), 8, RecordingDenoiser(), make_schedule(8), state, eta=eta, rng=rng)[0].x_prev
+
+
+# Each entry point that draws noise, given an rng, returns an array drawn from it.
+RNG_CALLERS = {
+    "forward_diffuse": lambda rng: forward_diffuse(np.ones(RNG_SHAPE), 8, make_schedule(8), rng),
+    "gamma_residual": lambda rng: gamma_residual(np.ones(RNG_SHAPE), ResidualParams(), rng),
+    "reinit_tail_noise": lambda rng: reinit_tail_noise(np.ones(RNG_SHAPE), make_schedule(8), 0.25, rng),
+    "momentum_step": momentum_step_draw,
+}
+
+
+@pytest.mark.parametrize("caller", RNG_CALLERS)
+@pytest.mark.parametrize("rng", [np.random.default_rng(0), "rng", None], ids=["Generator", "str", "NoneType"])
+def test_rng_must_be_a_random_source(caller, rng):
+    # a numpy Generator reads normal(shape) as normal(loc=shape): on a
+    # (4, 8, 3) latent its "noise" would hold one value per last-axis index
+    with pytest.raises(ParameterError, match=f"^rng must be a RandomSource, got {type(rng).__name__}$"):
+        RNG_CALLERS[caller](rng)
+    out = RNG_CALLERS[caller](RandomSource(0))
+    assert out.shape == RNG_SHAPE and np.array_equal(out, RNG_CALLERS[caller](RandomSource(0)))
+
+
+def test_deterministic_step_leaves_its_rng_unchecked():
+    # eta = 0 draws nothing, so the bench's step pays for no check
+    assert np.array_equal(momentum_step_draw("unused", eta=0.0), momentum_step_draw(None, eta=0.0))
 
 
 def test_check_latent_keeps_a_float64_array():

@@ -1,12 +1,14 @@
 """Package hygiene: no dead top-level imports, no unreferenced private
 functions or classes, no dangling script entries, declared dependencies
-that match what the package imports, and scalar and tensor checks written
-only in core."""
+that match what the package and its tests import, no scipy on the import
+path, and scalar and tensor checks written only in core."""
 
 import ast
 import importlib
 import importlib.metadata
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "latentmix").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -69,34 +72,75 @@ def test_script_entry_points_resolve():
         assert callable(obj), f"script {name!r} -> {target} is not callable"
 
 
-def third_party_imports() -> set[str]:
-    """Top-level names of the absolute, non-stdlib imports in the package."""
+def third_party_imports(paths: list[Path]) -> set[str]:
+    """Top-level names of the absolute imports in paths that are neither
+    stdlib nor the package or one of the files themselves (conftest)."""
+    local = {"latentmix"} | {path.stem for path in paths}
     names = set()
-    for path in MODULES:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return {name for name in names if name not in sys.stdlib_module_names}
+    return {name for name in names if name not in sys.stdlib_module_names and name not in local}
 
 
 def normalize(dist: str) -> str:
     return re.sub(r"[-_.]+", "-", dist).lower()
 
 
+def owners(names: set[str]) -> dict[str, set[str]]:
+    """Each import name with the normalized distributions that provide it."""
+    dists = importlib.metadata.packages_distributions()
+    return {name: {normalize(d) for d in dists.get(name, ())} for name in names}
+
+
+def requirement_names(requirements: list[str]) -> set[str]:
+    return {normalize(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in requirements}
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_dependencies_match_imports():
     import tomllib
 
-    declared = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
-    declared = {normalize(re.match(r"[A-Za-z0-9._-]+", req).group()) for req in declared}
-    dists = importlib.metadata.packages_distributions()
-    imported = {name: {normalize(d) for d in dists.get(name, ())} for name in third_party_imports()}
-    undeclared = sorted(name for name, owners in imported.items() if not owners & declared)
+    declared = requirement_names(tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"])
+    imported = owners(third_party_imports(MODULES))
+    undeclared = sorted(name for name, dists in imported.items() if not dists & declared)
     assert undeclared == [], "imported but not declared in [project] dependencies"
     unused = sorted(declared - set().union(*imported.values()))
     assert unused == [], "declared in [project] dependencies but imported by no module"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_test_imports_are_declared():
+    import tomllib
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = requirement_names(project["dependencies"] + project["optional-dependencies"]["test"])
+    imported = owners(third_party_imports(TESTS))
+    undeclared = sorted(name for name, dists in imported.items() if not dists & declared)
+    assert undeclared == [], "imported by a test but declared in neither [project] dependencies nor the test extra"
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy's import costs more than numpy's; no module may pull it in."""
+    names = [f"latentmix.{path.stem}" for path in MODULES if path.stem != "__init__"]
+    code = (
+        "import importlib, json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == []
 
 
 def test_error_classes_are_raised():
@@ -115,14 +159,15 @@ def test_error_classes_are_raised():
     assert defined - raised == {"DegenerateTrackError"}
 
 
-# the messages of core.check_level and core.check_real
-SCALAR_CHECK_PHRASES = ("must lie in", "must be finite", "must be a number", "must be an integer")
+# the messages of core.check_level, core.check_real and core.check_rng
+SCALAR_CHECK_PHRASES = ("must lie in", "must be finite", "must be a number", "must be an integer", "must be a RandomSource")
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_scalar_checks_live_in_core(path):
-    """A scalar parameter is checked by check_level or check_real, so no
-    other module writes one of their messages by hand."""
+    """A scalar parameter is checked by check_level or check_real, and an
+    rng by check_rng, so no other module writes one of their messages by
+    hand."""
     text = path.read_text()
     assert [phrase for phrase in SCALAR_CHECK_PHRASES if phrase in text] == []
 

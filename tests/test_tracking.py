@@ -92,6 +92,35 @@ def flood_fill_components(mask):
     return comps
 
 
+def grid(rows):
+    """A bool mask from strings of '#' (set) and '.' (clear)."""
+    return np.array([[c == "#" for c in row] for row in rows], dtype=bool)
+
+
+def snake(h, w):
+    """Full even rows joined at alternate ends: one component through every row."""
+    rows = []
+    for r in range(h):
+        if r % 2 == 0:
+            rows.append("#" * w)
+        else:
+            rows.append("." * (w - 1) + "#" if r % 4 == 1 else "#" + "." * (w - 1))
+    return rows
+
+
+CHECKER = ["#.#.#.", ".#.#.#", "#.#.#.", ".#.#.#"]
+# name: (mask rows, expected largest component rows)
+FIXED_COMPONENT_CASES = {
+    "full": (["#" * 64] * 40, ["#" * 64] * 40),
+    "one_row": (["##.###.#.##"], ["...###....."]),
+    "one_column": ([c for c in "##.###.#.##"], [c for c in "...###....."]),
+    "checkerboard": (CHECKER, ["#....."] + ["......"] * 3),  # every component is one pixel
+    "tie": (["....#", "....#", "###.#", "....."], ["....#", "....#", "....#", "....."]),
+    "snake": (snake(37, 64) + ["." * 64, "##" + "." * 62, "##" + "." * 62], snake(37, 64) + ["." * 64] * 3),
+    "empty": (["...", "..."], ["...", "..."]),
+}
+
+
 class TestThresholdSegment:
     def test_zeros(self):
         assert not threshold_segment(np.zeros((4, 8, 8)), 0.5).any()
@@ -114,18 +143,24 @@ class TestThresholdSegment:
         assert np.array_equal(out, square_mask(8, 4, 4, 3))
 
     def test_largest_component_matches_flood_fill(self):
+        # grids up to the video latent's 40x64, from sparse specks to one blob
         rng = RandomSource(33)
-        for trial in range(20):
-            noise = rng.uniform((1, 9, 9))
-            out = threshold_segment(noise, 0.6, largest_component=True)
-            raw = noise[0] > 0.6
-            comps = flood_fill_components(raw)
-            if not comps:
-                assert not out.any()
-                continue
-            best = max(comps, key=len)
-            assert out.sum() == len(best)
-            assert all(out[y, x] for y, x in best)
+        for trial in range(40):
+            h, w = 1 + int(40 * rng.uniform(())), 1 + int(64 * rng.uniform(()))
+            fill = 0.1 + 0.8 * trial / 39
+            noise = rng.uniform((1, h, w))
+            out = threshold_segment(noise, 1.0 - fill, largest_component=True)
+            expect = np.zeros((h, w), dtype=bool)
+            comps = flood_fill_components(noise[0] > 1.0 - fill)
+            if comps:
+                # max keeps the first of equal components, which BFS finds in raster order
+                expect[tuple(np.array(max(comps, key=len)).T)] = True
+            assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize("rows, expect", list(FIXED_COMPONENT_CASES.values()), ids=list(FIXED_COMPONENT_CASES))
+    def test_largest_component_fixed_cases(self, rows, expect):
+        mask, want = grid(rows), grid(expect)
+        assert np.array_equal(threshold_segment(mask[None] * 1.0, 0.5, largest_component=True), want)
 
     def test_largest_component_tie_goes_to_the_lowest_label(self):
         x = np.zeros((1, 6, 6))
@@ -144,23 +179,6 @@ class TestThresholdSegment:
                 sizes = ndimage.sum_labels(raw, labels, index=np.arange(1, count + 1))
                 expect = labels == (1 + int(np.argmax(sizes)))
             assert np.array_equal(threshold_segment(noise, 0.5, largest_component=True), expect)
-
-    def test_label_gets_one_read_only_structure(self, monkeypatch):
-        # scipy rebuilds its default structure on every call that passes none
-        seen, label = [], ndimage.label
-
-        def recording(mask, structure=None):
-            seen.append(structure)
-            return label(mask, structure)
-
-        monkeypatch.setattr(ndimage, "label", recording)
-        x = np.zeros((1, 6, 6))
-        x[0, 0:2, 0:2] = x[0, 3:6, 3:6] = 1.0
-        for _ in range(2):
-            threshold_segment(x, 0.5, largest_component=True)
-        assert len(seen) == 2 and seen[0] is seen[1]
-        assert np.array_equal(seen[0], ndimage.generate_binary_structure(2, 1))
-        assert not seen[0].flags.writeable
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -295,6 +313,18 @@ class TestMaskTrack:
             MaskTrack(masks=np.zeros((2, 4, 4), dtype=bool), linked=(True,))
         with pytest.raises(ParameterError):
             MaskTrack(masks=np.zeros((4, 4), dtype=bool), linked=(True,))
+
+    def test_stored_masks_are_read_only(self):
+        # a write through the returned mask would empty the stored one, and
+        # the rejected link below would then keep the empty mask
+        a, b = square_mask(8, 0, 0, 3), square_mask(8, 5, 5, 3)
+        tracker = OverlapTracker(IdentitySegmenter(), tau=0.5)
+        m, _ = tracker.update(a)
+        with pytest.raises(ValueError):
+            m[:] = False
+        kept, linked = tracker.update(b)
+        assert not linked and kept is tracker.masks[0]
+        assert [int(mask.sum()) for mask in tracker.as_track().masks] == [9, 9]
 
     def test_tracker_export(self):
         tracker = OverlapTracker(ThresholdSegmenter(0.5), tau=0.5)
