@@ -7,11 +7,14 @@ builds the noise for a freshly appended queue tail by keeping the low
 spatial frequencies of the most recent output (re-noised to the terminal
 level) and replacing the rest with fresh noise.
 
-The low-pass band is a square in frequency, so it is separable: its mask is
-the outer product of a row band and a column band, and projecting a
-(C, H, W) stack onto it is L_h @ d @ L_w.T with two real circulant
-matrices.  reinit_tail_noise builds the pair from lowpass_mask once per
-(h, w, cutoff) and keeps it read-only.
+The low-pass band is an ideal square over unshifted FFT indices: it keeps
+the frequencies with max(|u|, |v|) <= cutoff * min(h, w), so cutoff 0.5
+covers every frequency of an even square grid, and cutoff 0 keeps none by
+convention.  A square is separable: the band is the outer product of the
+1-D bands |fftfreq(n) * n| <= cutoff * min(h, w) for n = h and n = w, and
+projecting a (C, H, W) stack onto it is L_h @ d @ L_w.T with two real
+circulant matrices.  reinit_tail_noise builds the pair once per
+(h, w, cutoff) from the two 1-D bands and keeps it read-only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .core import (
     NoiseSchedule,
     RandomSource,
     check_latent,
-    check_level,
     check_mask,
     check_real,
     check_rng,
@@ -85,49 +87,23 @@ def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> n
     return x_mix + p.gamma * check_rng(rng).normal(x_mix.shape)
 
 
-def lowpass_mask(h: int, w: int, cutoff: float) -> np.ndarray:
-    """Ideal square low-pass over unshifted FFT indices.
-
-    Keeps frequencies with max(|u|, |v|) <= cutoff * min(h, w); cutoff 0.5
-    therefore covers every frequency of an even square grid, and cutoff 0
-    is the empty mask by convention.  The arguments are checked, then the
-    mask is built once per (h, w, cutoff) and shared, so it is read-only.
-    """
-    h, w = check_level(h, 1, math.inf, "mask height"), check_level(w, 1, math.inf, "mask width")
-    return _lowpass_mask(h, w, check_real(cutoff, 0, 0.5, "cutoff"))
-
-
-@functools.lru_cache(maxsize=16)
-def _lowpass_mask(h: int, w: int, cutoff: float) -> np.ndarray:
-    if cutoff == 0.0:
-        mask = np.zeros((h, w))
-    else:
-        radius = cutoff * min(h, w)
-        fu = np.abs(np.fft.fftfreq(h) * h)
-        fv = np.abs(np.fft.fftfreq(w) * w)
-        mask = ((fu[:, None] <= radius) & (fv[None, :] <= radius)).astype(np.float64)
-    mask.flags.writeable = False
-    return mask
-
-
-def _circulant(band: np.ndarray) -> np.ndarray:
+def _circulant(n: int, radius: float) -> np.ndarray:
     """The real (n, n) matrix L with L @ d = ifft(band * fft(d)) along axis
-    0: L[i, j] = c[(i - j) % n] with c the inverse transform of the band,
+    0 for the 1-D band |fftfreq(n) * n| <= radius, empty when radius is 0:
+    L[i, j] = c[(i - j) % n] with c the inverse transform of the band,
     which is real because the band is even in its frequency."""
-    n = len(band)
+    band = (np.abs(np.fft.fftfreq(n) * n) <= radius) & (radius > 0)
     c = np.fft.ifft(band).real
     return c[(np.arange(n)[:, None] - np.arange(n)) % n]
 
 
 @functools.lru_cache(maxsize=16)
 def _band_factors(h: int, w: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only matrices L_h (h, h) and L_w.T (w, w) with
-    L_h @ d @ L_w.T = ifft2(lowpass_mask(h, w, cutoff) * fft2(d)) for a real
-    (h, w) grid d.  The mask is m_h(u) * m_w(v), and both bands contain
-    frequency 0 unless the mask is empty, so its first column and row are
-    m_h and m_w."""
-    mask = lowpass_mask(h, w, cutoff)
-    left, right = _circulant(mask[:, 0]), _circulant(mask[0]).T.copy()
+    """Read-only matrices L_h (h, h) and L_w.T (w, w) with L_h @ d @ L_w.T
+    the projection of a real (h, w) grid d onto the square band of the
+    module docstring; cutoff 0 keeps no band, so both are zero."""
+    radius = cutoff * min(h, w)
+    left, right = _circulant(h, radius), _circulant(w, radius).T.copy()
     left.flags.writeable = right.flags.writeable = False
     return left, right
 
@@ -147,11 +123,10 @@ def reinit_tail_noise(
     with the cached separable factors of the module docstring.  cutoff 0
     keeps no band: both factors are zero, so the result is fresh + 0.
     """
-    x_recent = check_latent(x_recent, "x_recent")
-    _, h, w = x_recent.shape
-    left, right = _band_factors(h, w, check_real(cutoff, 0, 0.5, "cutoff"))
-    diffused = forward_diffuse(x_recent, s.T, s, rng)  # checks rng before the first draw
-    fresh = rng.normal(x_recent.shape)
+    cutoff = check_real(cutoff, 0, 0.5, "cutoff")
+    diffused = forward_diffuse(x_recent, s.T, s, rng)  # checks x_recent and rng before the first draw
+    fresh = rng.normal(diffused.shape)
+    left, right = _band_factors(*diffused.shape[1:], cutoff)
     diffused -= fresh
     low = left @ diffused @ right
     low += fresh

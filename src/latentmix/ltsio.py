@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 
 import numpy as np
 
@@ -32,10 +31,13 @@ def atomic_write_bytes(path, *chunks) -> None:
     """Write the bytes-like chunks, in order, to path via a temp file in the
     same directory + rename.  A chunk may be any C-contiguous buffer, such
     as a numpy array, and is written without being copied.  If any chunk
-    fails to write, path is left as it was and the temp file is removed."""
+    fails to write, path is left as it was and the temp file is removed.
+    The file gets the mode open() would give it: 0o666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # O_EXCL: never open a file that is already there; O_BINARY exists only on Windows
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:

@@ -129,9 +129,9 @@ class MomentumState:
     """Velocity buffer and momentum hyperparameters for one trajectory.
 
     v starts at zeros, so the first corrected step at t=T equals the vanilla
-    step.  A step never writes into v; it returns a new state instead.  The
-    hyperparameters are checked on construction and kept as the Python
-    numbers check_real and check_level return.
+    step.  A step never writes into v; it returns a new state instead.  On
+    construction v is checked as a latent and the hyperparameters are kept
+    as the Python numbers check_real and check_level return.
     """
 
     v: np.ndarray
@@ -141,6 +141,7 @@ class MomentumState:
     T: int
 
     def __post_init__(self):
+        object.__setattr__(self, "v", check_latent(self.v, "momentum velocity"))
         object.__setattr__(self, "beta", check_real(self.beta, 0, 1, "momentum beta"))
         object.__setattr__(self, "lam", check_real(self.lam, 0, math.inf, "lam"))
         object.__setattr__(self, "kappa0", check_real(self.kappa0, 0, math.inf, "kappa0"))
@@ -152,7 +153,8 @@ class MomentumState:
 
     def _advance(self, v: np.ndarray) -> "MomentumState":
         """This state with velocity v, built without running the checks
-        again: the hyperparameters were checked when this state was."""
+        again: the hyperparameters were checked when this state was, and v
+        is a step's own output."""
         successor = object.__new__(MomentumState)
         successor.__dict__.update(self.__dict__, v=v)
         return successor

@@ -5,8 +5,9 @@ segmenter output included.  Tracking is deliberately simple: segment every
 frame independently, then link frame k to frame k-1 by IoU; a frame whose
 overlap does not exceed the threshold keeps the previous frame's mask so one
 bad segmentation cannot yank the region across the scene.  The tracker
-stores each mask read-only and hands that same array back, so a caller
-cannot change the track.
+stores each mask read-only and hands that same array back, and a MaskTrack
+keeps its stack read-only, so a caller cannot change a track.  A track is
+degenerate when none of its masks has a pixel.
 
 The largest 4-connected component is found by a bitset fill over one Python
 int: pixel (r, c) is bit r * (W + 1) + c, and the zero column that pads each
@@ -46,23 +47,29 @@ class MaskTrack:
     """Per-frame masks with linkage decisions.
 
     linked[k] is False where frame k kept the previous mask instead of its
-    own segmentation; degenerate marks a track whose very first segmentation
-    came back empty.
+    own segmentation.  The mask stack is stored read-only.
     """
 
     masks: np.ndarray  # (F, H, W) bool
     linked: tuple[bool, ...]
-    degenerate: bool = False
 
     def __post_init__(self):
         masks = check_mask(self.masks, (None, None, None), "mask stack")
         if len(self.linked) != masks.shape[0]:
             raise ParameterError("linked flags must match the number of masks")
+        masks.flags.writeable = False  # check_mask returned a new array
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "linked", tuple(bool(b) for b in self.linked))
 
     def __len__(self) -> int:
         return self.masks.shape[0]
+
+    @property
+    def degenerate(self) -> bool:
+        """True when no frame has a masked pixel.  For a tracker-built track
+        that is its first segmentation coming back empty: a nonempty mask
+        has IoU 0 with an empty one, so it is never linked."""
+        return not self.masks.any()
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -98,27 +105,20 @@ def _largest_component(mask: np.ndarray) -> np.ndarray:
     return np.unpackbits(bits, count=padded.size, bitorder="little").view(bool).reshape(h, stride)[:, :w]
 
 
-def threshold_segment(x: np.ndarray, theta: float, largest_component: bool = False) -> np.ndarray:
+class ThresholdSegmenter:
     """Mean absolute channel value above theta, optionally pruned to the
     largest 4-connected component.  Of equal largest components, the one
     whose first pixel comes first in raster (row-major) order is kept."""
-    x = check_latent(x, "x")
-    theta = check_real(theta, 0, math.inf, "theta")
-    mask = np.mean(np.abs(x), axis=0) > theta
-    if largest_component:
-        mask = _largest_component(mask)
-    return mask
-
-
-class ThresholdSegmenter:
-    """Segmenter wrapper around threshold_segment."""
 
     def __init__(self, theta: float = 0.5, largest_component: bool = False):
         self.theta = check_real(theta, 0, math.inf, "theta")
-        self.largest_component = largest_component
+        if not isinstance(largest_component, (bool, np.bool_)):
+            raise ParameterError(f"largest_component is a flag, True or False, got {largest_component!r}")
+        self.largest_component = bool(largest_component)
 
     def segment(self, x: np.ndarray) -> np.ndarray:
-        return threshold_segment(x, self.theta, self.largest_component)
+        mask = np.mean(np.abs(check_latent(x, "x")), axis=0) > self.theta
+        return _largest_component(mask) if self.largest_component else mask
 
 
 class OverlapTracker:
@@ -134,20 +134,14 @@ class OverlapTracker:
         self._segment = segmenter.segment
         self.masks: list[np.ndarray] = []
         self.linked: list[bool] = []
-        self.degenerate = False
 
     def update(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         m = check_mask(self._segment(x), np.shape(x)[-2:], "segmenter output")
         m.flags.writeable = False  # check_mask returned a new array; it is the track's now
-        if not self.masks:
-            # first frame anchors the track even when empty; flag it so
-            # downstream consumers can tell the track never locked on
-            self.degenerate = not m.any()
-            accepted = True
-        else:
-            accepted = iou(m, self.masks[-1]) > self.tau
-            if not accepted:
-                m = self.masks[-1]
+        # the first frame anchors the track, even when it is empty
+        accepted = not self.masks or iou(m, self.masks[-1]) > self.tau
+        if not accepted:
+            m = self.masks[-1]
         self.masks.append(m)
         self.linked.append(accepted)
         return m, accepted
@@ -155,11 +149,7 @@ class OverlapTracker:
     def as_track(self) -> MaskTrack:
         if not self.masks:
             raise ParameterError("tracker has not seen any frames")
-        return MaskTrack(
-            masks=np.stack(self.masks),
-            linked=tuple(self.linked),
-            degenerate=self.degenerate,
-        )
+        return MaskTrack(masks=np.stack(self.masks), linked=tuple(self.linked))
 
 
 def track_masks(latents: LatentSequence, seg: Segmenter, tau: float) -> MaskTrack:

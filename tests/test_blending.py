@@ -11,7 +11,6 @@ from latentmix.blending import (
     _band_factors,
     blend_region,
     gamma_residual,
-    lowpass_mask,
     reinit_tail_noise,
 )
 from latentmix.core import RandomSource, forward_diffuse
@@ -142,16 +141,40 @@ class TestGammaResidual:
         assert a.tobytes() == b.tobytes()
 
 
+def square_band(h, w, cutoff):
+    """The square low band built from its definition, independent of the
+    library: max(|u|, |v|) <= cutoff * min(h, w) over unshifted FFT
+    indices, and empty at cutoff 0."""
+    if cutoff == 0.0:
+        return np.zeros((h, w))
+    radius = cutoff * min(h, w)
+    fu = np.abs(np.fft.fftfreq(h) * h)
+    fv = np.abs(np.fft.fftfreq(w) * w)
+    return ((fu[:, None] <= radius) & (fv[None, :] <= radius)).astype(np.float64)
+
+
+def factor_band(h, w, cutoff):
+    """The 2-D band that _band_factors projects onto.  A circulant's
+    eigenvalues are the spectrum of its first column, and the right factor
+    is L_w.T, whose first row is L_w's first column."""
+    left, right = _band_factors(h, w, cutoff)
+    return np.outer(np.fft.fft(left[:, 0]).real, np.fft.fft(right[0]).real)
+
+
 class TestLowpassMask:
+    """The square low band, as reinit_tail_noise's cached factors hold it."""
+
     def test_cutoff_zero_empty(self):
-        assert not lowpass_mask(8, 8, 0.0).any()
+        for factor in _band_factors(8, 8, 0.0):
+            assert not factor.any()
 
     def test_cutoff_half_covers_even_square_grid(self):
-        assert lowpass_mask(16, 16, 0.5).all()
-        assert lowpass_mask(8, 8, 0.5).all()
+        for n in (8, 16):
+            for factor in _band_factors(n, n, 0.5):
+                assert np.max(np.abs(factor - np.eye(n))) < 1e-12
 
     def test_quarter_cutoff_structure(self):
-        m = lowpass_mask(16, 16, 0.25)  # radius 4 in index space
+        m = factor_band(16, 16, 0.25).round()  # radius 4 in index space
         assert m[0, 0] == 1.0  # DC kept
         assert m[4, 4] == 1.0
         assert m[5, 0] == 0.0
@@ -159,25 +182,29 @@ class TestLowpassMask:
         assert m[0, 11] == 0.0  # index 11 is -5, outside
         # symmetric under frequency negation
         assert np.array_equal(m, np.roll(np.flip(m, axis=(0, 1)), (1, 1), axis=(0, 1)))
+        for h, w, cutoff in [(16, 16, 0.25), (7, 9, 0.3), (40, 64, 0.05), (1, 5, 0.5)]:
+            assert np.max(np.abs(factor_band(h, w, cutoff) - square_band(h, w, cutoff))) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [0.0, 0.25])
     def test_cached_mask_is_read_only(self, cutoff):
-        # one mask per (h, w, cutoff) is shared by every caller, so no
-        # caller may write into it
-        m = lowpass_mask(8, 8, cutoff)
-        kept = m.copy()
-        with pytest.raises(ValueError, match="read-only"):
-            m[0, 0] = 0.5
-        with pytest.raises(ValueError, match="read-only"):
-            m *= 2.0
-        assert lowpass_mask(8, 8, cutoff) is m
-        assert np.array_equal(m, kept)
+        # one pair of factors per (h, w, cutoff) is shared by every caller,
+        # so no caller may write into it
+        factors = _band_factors(8, 8, cutoff)
+        kept = [f.copy() for f in factors]
+        for factor in factors:
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                factor *= 2.0
+        again = _band_factors(8, 8, cutoff)
+        assert again[0] is factors[0] and again[1] is factors[1]
+        assert all(np.array_equal(f, k) for f, k in zip(factors, kept))
 
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            lowpass_mask(8, 8, 0.6)
-        with pytest.raises(ParameterError):
-            lowpass_mask(8, 8, -0.1)
+    def test_validation(self, desk_schedule):
+        x = RandomSource(28).normal(DESK_SHAPE)
+        for cutoff in (0.6, -0.1):
+            with pytest.raises(ParameterError, match="^cutoff must lie in"):
+                reinit_tail_noise(x, desk_schedule, cutoff, RandomSource(29))
 
 
 class TestReinitTailNoise:
@@ -207,7 +234,7 @@ class TestReinitTailNoise:
         ref_rng = RandomSource(20)
         diffused = forward_diffuse(x, desk_schedule.T, desk_schedule, ref_rng)
         fresh = ref_rng.normal(shape)
-        L = lowpass_mask(16, 16, cutoff)
+        L = square_band(16, 16, cutoff)
 
         def band(z, keep):
             return np.fft.ifft2(keep[None] * np.fft.fft2(z)).real
@@ -221,7 +248,7 @@ class TestReinitTailNoise:
         assert out.dtype == np.float64
         assert np.all(np.isfinite(out))
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "2-d", "cutoff"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "2-d", "cutoff", "negative-cutoff"])
     def test_rejects_bad_input_before_drawing(self, desk_schedule, bad):
         x = RandomSource(24).normal(DESK_SHAPE)
         cutoff = 0.25
@@ -231,8 +258,10 @@ class TestReinitTailNoise:
             x[0, 0, 0] = np.inf
         elif bad == "2-d":
             x = x[0]
-        else:
+        elif bad == "cutoff":
             cutoff = 0.6
+        else:
+            cutoff = -0.1
         rng = RandomSource(25)
         with pytest.raises(ParameterError):
             reinit_tail_noise(x, desk_schedule, cutoff, rng)
@@ -248,7 +277,7 @@ class TestReinitTailNoise:
         diffused = forward_diffuse(x, desk_schedule.T, desk_schedule, ref_rng)
         fresh = ref_rng.normal(shape)
         h, w = shape[1:]
-        mask = lowpass_mask(h, w, cutoff)
+        mask = square_band(h, w, cutoff)
         ref = fresh + np.fft.irfft2(mask[:, : w // 2 + 1] * np.fft.rfft2(diffused - fresh), s=(h, w))
         assert np.max(np.abs(out - ref)) < 1e-12
         if cutoff == 0.0:

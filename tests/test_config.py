@@ -17,7 +17,7 @@ from latentmix.config import (
     parse_config,
     validate_config,
 )
-from latentmix.blending import BlendParams, ResidualParams, lowpass_mask
+from latentmix.blending import BlendParams, ResidualParams, reinit_tail_noise
 from latentmix.core import MAX_T, RandomSource, forward_diffuse, make_schedule
 from latentmix.errors import ConfigError, ParameterError
 from latentmix.sampler import MomentumState, ddim_sample, momentum_step, step_grid
@@ -217,9 +217,9 @@ def test_accepted_configs_run(source):
     BlendParams(inj.strength)
     ResidualParams(inj.gamma_res)
     rng = RandomSource(cfg.seed)
-    lowpass_mask(8, 8, inj.cutoff)
-    OverlapTracker(ThresholdSegmenter(), inj.tau)
     x0 = np.ones((1, 2, 2))
+    reinit_tail_noise(x0, s, inj.cutoff, rng)
+    OverlapTracker(ThresholdSegmenter(), inj.tau)
     x = forward_diffuse(x0, inj.t_prime, s, rng)
     den = oracle_denoiser(OracleSpec(frames=x0[None]), s)
     ddim_sample(x, den, s, steps=q.length)
@@ -240,7 +240,7 @@ REAL_CONSUMERS = {
     ("injection", "strength"): BlendParams,
     ("injection", "gamma_res"): ResidualParams,
     ("injection", "tau"): lambda v: OverlapTracker(ThresholdSegmenter(), v),
-    ("injection", "cutoff"): lambda v: lowpass_mask(8, 8, v),
+    ("injection", "cutoff"): lambda v: reinit_tail_noise(np.ones((1, 2, 2)), make_schedule(8), v, RandomSource(0)),
 }
 
 

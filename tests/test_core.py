@@ -464,7 +464,7 @@ class RecordingDenoiser:
 
 def momentum_step_latent(x, _):
     den = RecordingDenoiser()
-    momentum_step(x, 8, den, make_schedule(8), MomentumState.fresh(np.shape(x), 8))
+    momentum_step(x, 8, den, make_schedule(8), MomentumState.fresh((2, 3, 4), 8))
     return den.seen
 
 

@@ -219,6 +219,20 @@ def test_atomic_write_failed_chunk_keeps_target(tmp_path):
     assert os.listdir(tmp_path) == ["target.bin"]
 
 
+@pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
+    # a renamed mkstemp file used to keep mkstemp's 0o600 under any umask
+    previous = os.umask(umask)
+    try:
+        write_lts(tmp_path / "x.lts", np.zeros((1, 1, 2, 2)))
+        atomic_write_bytes(tmp_path / "y.bin", b"y")
+    finally:
+        os.umask(previous)
+    for name in ("x.lts", "y.bin"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
+
 def test_save_sequence_memory_budget(tmp_path):
     # the float32 payload plus its finiteness mask; no bytes copies of it
     seq = LatentSequence(RandomSource(10).normal((51, 4, 40, 64)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentmix.blending import BlendParams, ResidualParams, lowpass_mask
+from latentmix.blending import BlendParams, ResidualParams, reinit_tail_noise
 from latentmix.core import RandomSource, check_latent, forward_diffuse, make_schedule
 from latentmix.errors import NumericError, ParameterError
 from latentmix import sampler
@@ -20,7 +20,7 @@ from latentmix.sampler import (
     step_grid,
 )
 from latentmix.synth import OracleSpec, checkerboard_frame, moving_square_scene, oracle_denoiser, patch_embedding_proxy
-from latentmix.tracking import OverlapTracker, ThresholdSegmenter, threshold_segment
+from latentmix.tracking import OverlapTracker, ThresholdSegmenter
 
 from conftest import DESK_SHAPE, traced_peak
 
@@ -232,16 +232,17 @@ class TestMomentumStep:
     @pytest.mark.parametrize("kappa0", [0.0, 2.0])
     def test_kappa_zero_never_reads_velocity(self, desk_schedule, bad, eta, kappa0):
         # kappa is 0 when kappa0 is, or at t = T; a zero coefficient would
-        # still let 0 * nan through, so the emission must not read v at all
+        # still let 0 * nan through, so the emission must not read v at all.
+        # A constructed state rejects a non-finite v, so the dirty state is
+        # built as a step builds its unchecked successor.
         t = 30 if kappa0 == 0.0 else desk_schedule.T
         den = MixDenoiser(seed=2)
         x = RandomSource(90).normal(DESK_SHAPE)
-        clean = RandomSource(91).normal(DESK_SHAPE)
-        dirty = clean.copy()
-        dirty[1, 3, 4] = bad
+        clean = MomentumState(v=RandomSource(91).normal(DESK_SHAPE), beta=0.9, lam=0.7, kappa0=kappa0, T=desk_schedule.T)
+        dirty_v = clean.v.copy()
+        dirty_v[1, 3, 4] = bad
         outs = []
-        for v in (clean, dirty):
-            state = MomentumState(v=v, beta=0.9, lam=0.7, kappa0=kappa0, T=desk_schedule.T)
+        for state in (clean, clean._advance(dirty_v)):
             outs.append(momentum_step(x, t, den, desk_schedule, state, eta=eta, rng=RandomSource(92))[0])
         assert np.all(np.isfinite(outs[1].x_prev))
         assert np.array_equal(outs[1].x_prev, outs[0].x_prev)
@@ -312,6 +313,40 @@ class TestMomentumStep:
             MomentumState.fresh(DESK_SHAPE, T=10, beta=1.5)
         with pytest.raises(ParameterError):
             MomentumState.fresh(DESK_SHAPE, T=10, kappa0=-0.1)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("nan", "^momentum velocity contains non-finite values$"),
+            ("complex", "^momentum velocity must be a real array, got dtype complex128$"),
+            ("2-d", "^momentum velocity must be a nonempty \\(C, H, W\\) array"),
+        ],
+        ids=["nan", "complex", "2-d"],
+    )
+    def test_velocity_is_checked_on_construction(self, desk_schedule, case, message):
+        # a nan v gave a non-finite x_prev once kappa > 0, and a complex v a
+        # complex x_prev, with no error
+        v = RandomSource(94).normal(DESK_SHAPE)
+        if case == "nan":
+            v[1, 2, 3] = np.nan
+        elif case == "complex":
+            v = v + 1j
+        else:
+            v = v[0]
+        with pytest.raises(ParameterError, match=message):
+            MomentumState(v=v, beta=0.9, lam=1.0, kappa0=2.0, T=desk_schedule.T)
+
+    def test_list_velocity_steps_like_its_array(self, desk_schedule):
+        # a list v raised AttributeError inside momentum_step
+        v = RandomSource(94).normal(DESK_SHAPE)
+        x = RandomSource(95).normal(DESK_SHAPE)
+        outs = []
+        for given_v in (v.tolist(), v):
+            state = MomentumState(v=given_v, beta=0.9, lam=1.0, kappa0=2.0, T=desk_schedule.T)
+            assert state.v.dtype == np.float64
+            outs.append(momentum_step(x, 30, MixDenoiser(), desk_schedule, state))
+        assert outs[0][0].x_prev.tobytes() == outs[1][0].x_prev.tobytes()
+        assert outs[0][1].v.tobytes() == outs[1][1].v.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_rejected(self, bad):
@@ -444,8 +479,6 @@ LEVEL_CALLS = {
     "ddim_sample": lambda s, t, den: ddim_sample(np.zeros(DESK_SHAPE), den, s, steps=t),
     "ddim_invert": lambda s, t, den: ddim_invert(np.zeros(DESK_SHAPE), den, s, t),
     "MomentumState-T": lambda s, t, den: MomentumState.fresh(DESK_SHAPE, T=t),
-    "lowpass_mask-h": lambda s, t, den: lowpass_mask(t, 8, 0.25),
-    "lowpass_mask-w": lambda s, t, den: lowpass_mask(8, t, 0.25),
     "moving_square_scene-frames": lambda s, t, den: moving_square_scene(t, 8, 2, (1, 0)),
     "moving_square_scene-grid": lambda s, t, den: moving_square_scene(2, t, 2, (1, 0)),
     "moving_square_scene-square": lambda s, t, den: moving_square_scene(2, 8, t, (1, 0)),
@@ -474,8 +507,8 @@ REAL_CALLS = {
     "momentum_step-eta": lambda s, x, den: vanilla_step(np.zeros(DESK_SHAPE), 5, den, s, eta=x, rng=RandomSource(0)),
     "BlendParams-strength": lambda s, x, den: BlendParams(x),
     "ResidualParams-gamma": lambda s, x, den: ResidualParams(x),
-    "lowpass_mask-cutoff": lambda s, x, den: lowpass_mask(8, 8, x),
-    "threshold_segment-theta": lambda s, x, den: threshold_segment(np.ones((1, 4, 4)), x),
+    "reinit_tail_noise-cutoff": lambda s, x, den: reinit_tail_noise(np.zeros(DESK_SHAPE), s, x, RandomSource(0)),
+    "ThresholdSegmenter-theta": lambda s, x, den: ThresholdSegmenter(x),
     "OverlapTracker-tau": lambda s, x, den: OverlapTracker(ThresholdSegmenter(), x),
     "make_schedule-beta_start": lambda s, x, den: make_schedule(8, x, 0.5),
     "make_schedule-beta_end": lambda s, x, den: make_schedule(8, 0.25, x),

@@ -10,7 +10,7 @@ from latentmix.synth import (
     oracle_denoiser,
     patch_embedding_proxy,
 )
-from latentmix.tracking import iou, threshold_segment
+from latentmix.tracking import ThresholdSegmenter, iou
 
 from conftest import DESK_SHAPE
 
@@ -101,7 +101,7 @@ class TestMovingSquareScene:
     def test_threshold_recovers_exactly_on_clean_frames(self):
         seq, track = moving_square_scene(16, 8, 3, (1, 0))
         for k in range(16):
-            assert np.array_equal(threshold_segment(seq.frame(k), 0.5), track.masks[k])
+            assert np.array_equal(ThresholdSegmenter(0.5).segment(seq.frame(k)), track.masks[k])
 
     def test_adjacent_iou_half(self):
         # 3x3 square moving 1 px: overlap 6, union 12

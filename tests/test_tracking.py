@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from latentmix.core import LatentSequence, RandomSource
 from latentmix.errors import ParameterError
+from latentmix.synth import moving_square_scene
 from latentmix.tracking import (
     MaskTrack,
     OverlapTracker,
     ThresholdSegmenter,
     iou,
-    threshold_segment,
     track_masks,
 )
 
@@ -123,23 +123,23 @@ FIXED_COMPONENT_CASES = {
 
 class TestThresholdSegment:
     def test_zeros(self):
-        assert not threshold_segment(np.zeros((4, 8, 8)), 0.5).any()
+        assert not ThresholdSegmenter(0.5).segment(np.zeros((4, 8, 8))).any()
 
     def test_recovers_block(self):
         x = np.zeros((4, 8, 8))
         x[:, 2:5, 3:6] = 1.0
-        assert np.array_equal(threshold_segment(x, 0.5), square_mask(8, 2, 3, 3))
+        assert np.array_equal(ThresholdSegmenter(0.5).segment(x), square_mask(8, 2, 3, 3))
 
     def test_uses_absolute_values(self):
         x = np.zeros((2, 4, 4))
         x[:, 1, 1] = -2.0
-        assert threshold_segment(x, 0.5)[1, 1]
+        assert ThresholdSegmenter(0.5).segment(x)[1, 1]
 
     def test_largest_component(self):
         x = np.zeros((1, 8, 8))
         x[0, 0:2, 0:2] = 1.0  # 4 px
         x[0, 4:7, 4:7] = 1.0  # 9 px
-        out = threshold_segment(x, 0.5, largest_component=True)
+        out = ThresholdSegmenter(0.5, largest_component=True).segment(x)
         assert np.array_equal(out, square_mask(8, 4, 4, 3))
 
     def test_largest_component_matches_flood_fill(self):
@@ -149,7 +149,7 @@ class TestThresholdSegment:
             h, w = 1 + int(40 * rng.uniform(())), 1 + int(64 * rng.uniform(()))
             fill = 0.1 + 0.8 * trial / 39
             noise = rng.uniform((1, h, w))
-            out = threshold_segment(noise, 1.0 - fill, largest_component=True)
+            out = ThresholdSegmenter(1.0 - fill, largest_component=True).segment(noise)
             expect = np.zeros((h, w), dtype=bool)
             comps = flood_fill_components(noise[0] > 1.0 - fill)
             if comps:
@@ -160,13 +160,13 @@ class TestThresholdSegment:
     @pytest.mark.parametrize("rows, expect", list(FIXED_COMPONENT_CASES.values()), ids=list(FIXED_COMPONENT_CASES))
     def test_largest_component_fixed_cases(self, rows, expect):
         mask, want = grid(rows), grid(expect)
-        assert np.array_equal(threshold_segment(mask[None] * 1.0, 0.5, largest_component=True), want)
+        assert np.array_equal(ThresholdSegmenter(0.5, largest_component=True).segment(mask[None] * 1.0), want)
 
     def test_largest_component_tie_goes_to_the_lowest_label(self):
         x = np.zeros((1, 6, 6))
         x[0, 0:2, 4:6] = 1.0  # label 1 in scan order, 4 px
         x[0, 4:6, 0:2] = 1.0  # label 2, 4 px
-        assert np.array_equal(threshold_segment(x, 0.5, largest_component=True), square_mask(6, 0, 4, 2))
+        assert np.array_equal(ThresholdSegmenter(0.5, largest_component=True).segment(x), square_mask(6, 0, 4, 2))
 
     def test_largest_component_matches_sum_labels_rule(self):
         rng = RandomSource(34)
@@ -178,25 +178,39 @@ class TestThresholdSegment:
             if count > 1:
                 sizes = ndimage.sum_labels(raw, labels, index=np.arange(1, count + 1))
                 expect = labels == (1 + int(np.argmax(sizes)))
-            assert np.array_equal(threshold_segment(noise, 0.5, largest_component=True), expect)
+            assert np.array_equal(ThresholdSegmenter(0.5, largest_component=True).segment(noise), expect)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            threshold_segment(np.zeros((4, 4)), 0.5)
+            ThresholdSegmenter(0.5).segment(np.zeros((4, 4)))
         with pytest.raises(ParameterError):
-            threshold_segment(np.zeros((1, 4, 4)), -0.1)
+            ThresholdSegmenter(-0.1)
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_non_finite_theta_rejected(self, theta):
         # nan or inf would compare false everywhere and give an empty mask
         with pytest.raises(ParameterError, match="^theta must be finite, got "):
-            threshold_segment(np.ones((1, 4, 4)), theta)
+            ThresholdSegmenter(theta)
 
     @pytest.mark.parametrize("theta", [True, "0.5", -0.1, np.nan])
     def test_segmenter_checks_theta_when_built(self, theta):
         # not at its first segment call, partway through a clip
         with pytest.raises(ParameterError, match="^theta must "):
             ThresholdSegmenter(theta)
+
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None, np.array([True])], ids=["str", "0", "1", "None", "array"])
+    def test_largest_component_is_a_bool(self, flag):
+        # any truthy value used to switch pruning on, so "no" pruned
+        with pytest.raises(ParameterError, match="^largest_component is a flag, True or False, got "):
+            ThresholdSegmenter(0.5, largest_component=flag)
+
+    def test_largest_component_accepts_numpy_bools(self):
+        x = np.zeros((1, 8, 8))
+        x[0, 0:2, 0:2] = 1.0
+        x[0, 4:7, 4:7] = 1.0
+        for flag, keeps in [(np.True_, 9), (np.False_, 13), (True, 9), (False, 13)]:
+            seg = ThresholdSegmenter(0.5, largest_component=flag)
+            assert type(seg.largest_component) is bool and int(seg.segment(x).sum()) == keeps
 
     @pytest.mark.parametrize("bad", [[np.inf], [np.nan], [np.inf, -np.inf]])
     def test_non_finite_rejected(self, bad):
@@ -205,7 +219,7 @@ class TestThresholdSegment:
         x[0, 2:5, 2:5] = 1.0
         x[0, 3, 3 : 3 + len(bad)] = bad
         with pytest.raises(ParameterError, match="^x contains non-finite values$"):
-            threshold_segment(x, 0.5)
+            ThresholdSegmenter(0.5).segment(x)
 
 
 def scene_from_masks(masks, value=1.0, channels=2):
@@ -325,6 +339,28 @@ class TestMaskTrack:
         kept, linked = tracker.update(b)
         assert not linked and kept is tracker.masks[0]
         assert [int(mask.sum()) for mask in tracker.as_track().masks] == [9, 9]
+
+    def test_track_masks_are_read_only(self):
+        # a write through track.masks used to empty a finished track in place
+        tracker = OverlapTracker(IdentitySegmenter(), tau=0.5)
+        tracker.update(square_mask(8, 0, 0, 3))
+        _, ground_truth = moving_square_scene(3, 8, 2, (1, 0))
+        given = np.stack([square_mask(8, 1, 1, 2)] * 2)
+        for track in (tracker.as_track(), ground_truth, MaskTrack(masks=given, linked=(True, True))):
+            with pytest.raises(ValueError, match="read-only"):
+                track.masks[:] = False
+            assert track.masks.any()
+        assert given.flags.writeable  # the caller's array is not frozen
+
+    def test_degenerate_is_read_off_the_masks(self):
+        empty = np.zeros((3, 4, 4), dtype=bool)
+        enters_later = empty.copy()
+        enters_later[2, 1, 1] = True
+        assert MaskTrack(masks=empty, linked=(True,) * 3).degenerate
+        # a ground-truth object that enters at frame 2 is not a degenerate track
+        assert not MaskTrack(masks=enters_later, linked=(True,) * 3).degenerate
+        with pytest.raises(TypeError):
+            MaskTrack(masks=enters_later, linked=(True,) * 3, degenerate=True)
 
     def test_tracker_export(self):
         tracker = OverlapTracker(ThresholdSegmenter(0.5), tau=0.5)
