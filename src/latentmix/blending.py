@@ -28,11 +28,11 @@ import numpy as np
 from .core import (
     NoiseSchedule,
     RandomSource,
+    _diffuse,
     check_latent,
     check_mask,
     check_real,
     check_rng,
-    forward_diffuse,
 )
 from .errors import ParameterError
 
@@ -113,10 +113,11 @@ def reinit_tail_noise(
 ) -> np.ndarray:
     """Terminal-level noise that carries the recent frame's low frequencies.
 
-    Draw order is fixed: first the forward-diffusion noise for x_recent,
-    then the fresh replacement noise.  Each channel keeps its low band from
-    the diffused frame and the rest from the fresh noise; since the split is
-    linear, that is
+    Draw order is fixed: first the forward-diffusion noise for x_recent
+    (core._diffuse, forward_diffuse's body, at level T), then the fresh
+    replacement noise.  Each channel keeps its low band from the diffused
+    frame and the rest from the fresh noise; since the split is linear,
+    that is
 
         fresh + lowpass(diffused - fresh) = fresh + L_h @ (diffused - fresh) @ L_w.T
 
@@ -124,7 +125,8 @@ def reinit_tail_noise(
     keeps no band: both factors are zero, so the result is fresh + 0.
     """
     cutoff = check_real(cutoff, 0, 0.5, "cutoff")
-    diffused = forward_diffuse(x_recent, s.T, s, rng)  # checks x_recent and rng before the first draw
+    x_recent, rng = check_latent(x_recent, "x_recent"), check_rng(rng)
+    diffused = _diffuse(x_recent, s.alpha_bar[s.T], rng)
     fresh = rng.normal(diffused.shape)
     left, right = _band_factors(*diffused.shape[1:], cutoff)
     diffused -= fresh

@@ -26,7 +26,7 @@ class OracleSpec:
     frames: np.ndarray  # (F, C, H, W)
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", LatentSequence(self.frames).data)
+        object.__setattr__(self, "frames", check_latent(self.frames, "frames", "FCHW"))
 
 
 class _Oracle:
@@ -47,6 +47,9 @@ class _Oracle:
         return _Oracle(self.frames, self.s, min(k, len(self.frames) - 1))
 
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
+        # x_t - sqrt(ab) x0* would broadcast a latent of another shape
+        if np.shape(x_t) != self.x0_star.shape:
+            raise ParameterError(f"x_t has shape {np.shape(x_t)}, the oracle's target {self.x0_star.shape}")
         # eps is undefined at t = 0, where there is no noise to read back
         ab = float(self.s.alpha_bar[check_level(t, 1, self.s.T, "t")])
         eps = np.subtract(x_t, np.multiply(self.x0_star, math.sqrt(ab)))
@@ -71,7 +74,7 @@ def moving_square_scene(
 
     velocity is (dx, dy), whole pixels per frame (dx = columns, dy = rows);
     the square clamps at the borders instead of leaving the grid.  Returns the
-    latent sequence and the exact per-frame masks as a fully linked track.
+    latent sequence and the exact per-frame masks as a track.
     """
     frames = check_level(frames, 1, math.inf, "frames")
     grid = check_level(grid, 1, math.inf, "grid")
@@ -88,7 +91,7 @@ def moving_square_scene(
         row = min(max(k * dy, 0), hi)
         masks[k, row : row + square, col : col + square] = True
         data[k, :, row : row + square, col : col + square] = value
-    track = MaskTrack(masks=masks, linked=(True,) * frames)
+    track = MaskTrack(masks=masks)
     return LatentSequence(data), track
 
 

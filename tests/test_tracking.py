@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentmix.core import LatentSequence, RandomSource
+from latentmix import tracking
 from latentmix.errors import ParameterError
 from latentmix.synth import moving_square_scene
 from latentmix.tracking import (
@@ -14,7 +15,6 @@ from latentmix.tracking import (
     OverlapTracker,
     ThresholdSegmenter,
     iou,
-    track_masks,
 )
 
 
@@ -229,67 +229,87 @@ def scene_from_masks(masks, value=1.0, channels=2):
     return LatentSequence(frames)
 
 
+def track(seq, seg, tau):
+    """Feed every frame of seq to an OverlapTracker and return the tracker."""
+    tracker = OverlapTracker(seg, tau)
+    for i in range(len(seq)):
+        tracker.update(seq.frame(i))
+    return tracker
+
+
 class TestTrackMasks:
     def test_constant_scene_fully_linked(self):
         m = square_mask(8, 2, 2, 3)
         seq = scene_from_masks([m] * 5)
-        track = track_masks(seq, ThresholdSegmenter(0.5), tau=0.5)
-        assert track.linked == (True,) * 5
-        assert not track.degenerate
-        assert np.array_equal(track.masks, np.stack([m] * 5))
+        tracker = track(seq, ThresholdSegmenter(0.5), tau=0.5)
+        assert tracker.linked == [True] * 5
+        assert np.array_equal(np.stack(tracker.masks), np.stack([m] * 5))
 
     def test_empty_segmentation_retains_previous(self):
         m = square_mask(8, 1, 1, 3)
         frames = [m, m, np.zeros_like(m), m]
         seq = scene_from_masks(frames)
-        track = track_masks(seq, ThresholdSegmenter(0.5), tau=0.5)
-        assert track.linked == (True, True, False, True)
-        assert np.array_equal(track.masks[2], m)  # retained bit-exact
+        tracker = track(seq, ThresholdSegmenter(0.5), tau=0.5)
+        assert tracker.linked == [True, True, False, True]
+        assert np.array_equal(tracker.masks[2], m)  # retained bit-exact
 
     def test_jump_rejected_then_reacquired(self):
         a = square_mask(8, 0, 0, 3)
         b = square_mask(8, 5, 5, 3)  # disjoint jump
         seq = scene_from_masks([a, b, b])
-        track = track_masks(seq, ThresholdSegmenter(0.5), tau=0.5)
-        assert track.linked[1] is False
-        assert np.array_equal(track.masks[1], a)
+        tracker = track(seq, ThresholdSegmenter(0.5), tau=0.5)
+        assert tracker.linked[1] is False
+        assert np.array_equal(tracker.masks[1], a)
         # frame 2 segments to b again; IoU(b, retained a) still 0 -> retained
-        assert track.linked[2] is False
-        assert np.array_equal(track.masks[2], a)
+        assert tracker.linked[2] is False
+        assert np.array_equal(tracker.masks[2], a)
 
     def test_threshold_is_strict(self):
         # adjacent-frame IoU exactly tau must retain, not accept
         a = square_mask(8, 0, 0, 2)
         b = square_mask(8, 0, 1, 2)  # IoU 1/3
         seq = scene_from_masks([a, b])
-        at_tau = track_masks(seq, ThresholdSegmenter(0.5), tau=1.0 / 3.0)
+        at_tau = track(seq, ThresholdSegmenter(0.5), tau=1.0 / 3.0)
         assert at_tau.linked[1] is False
-        below = track_masks(seq, ThresholdSegmenter(0.5), tau=0.33)
+        below = track(seq, ThresholdSegmenter(0.5), tau=0.33)
         assert below.linked[1] is True
 
     def test_degenerate_first_frame(self):
+        # an empty first mask links nothing after it, so the track stays empty
         m = square_mask(8, 1, 1, 2)
         seq = scene_from_masks([np.zeros_like(m), m])
-        track = track_masks(seq, ThresholdSegmenter(0.5), tau=0.5)
-        assert track.degenerate
-        assert not track.masks[0].any()
+        tracker = track(seq, ThresholdSegmenter(0.5), tau=0.5)
+        assert tracker.linked == [True, False]
+        assert not np.stack(tracker.masks).any()
 
-    def test_streaming_matches_batch(self):
-        rng = RandomSource(40)
-        frames = [square_mask(8, int(3 * u), int(4 * v), 3) for u, v in rng.uniform((6, 2))]
-        seq = scene_from_masks(frames)
-        batch = track_masks(seq, ThresholdSegmenter(0.5), tau=0.4)
-        tracker = OverlapTracker(ThresholdSegmenter(0.5), tau=0.4)
-        for i in range(len(seq)):
-            tracker.update(seq.frame(i))
-        stream = tracker.as_track()
-        assert np.array_equal(stream.masks, batch.masks)
-        assert stream.linked == batch.linked
+    def test_frame_grid_must_not_change(self):
+        # the link compares masks pixel by pixel, so a frame on another grid
+        # is rejected rather than broadcast against the track
+        tracker = OverlapTracker(IdentitySegmenter(), tau=0.5)
+        tracker.update(square_mask(4, 0, 0, 2))
+        for other in (np.ones((1, 4), dtype=bool), square_mask(8, 0, 0, 2)):
+            with pytest.raises(ParameterError, match=r"^frame grid \(\d+, \d+\) differs from the track's \(4, 4\)$"):
+                tracker.update(other)
+        assert len(tracker.masks) == 1
+
+    def test_update_checks_each_mask_once(self, monkeypatch):
+        # the link reuses the two masks the tracker has already checked
+        calls, check_mask = [], tracking.check_mask
+
+        def counting(m, shape, name="mask"):
+            calls.append(name)
+            return check_mask(m, shape, name)
+
+        monkeypatch.setattr(tracking, "check_mask", counting)
+        seq = scene_from_masks([square_mask(8, 0, k, 3) for k in range(4)])
+        tracker = track(seq, ThresholdSegmenter(0.5), tau=0.4)
+        assert tracker.linked == [True, True, True, True]
+        assert calls == ["segmenter output"] * 4
 
     def test_tau_validation(self):
         seq = scene_from_masks([square_mask(4, 0, 0, 2)])
         with pytest.raises(ParameterError):
-            track_masks(seq, ThresholdSegmenter(0.5), tau=1.5)
+            track(seq, ThresholdSegmenter(0.5), tau=1.5)
 
     @settings(max_examples=60, deadline=None)
     @given(prev=masks_strategy, cand=masks_strategy, data=st.data())
@@ -315,18 +335,16 @@ class TestTrackMasks:
         rng = RandomSource(85)
         frames = [square_mask(6, int(3 * u), int(3 * v), 2) for u, v in rng.uniform((5, 2))]
         seq = scene_from_masks(frames)
-        lo = track_masks(seq, ThresholdSegmenter(0.5), tau=0.0)
-        hi = track_masks(seq, ThresholdSegmenter(0.5), tau=0.25)
-        assert lo.linked == (True, True, True, False, False)
-        assert hi.linked == (True, True, False, True, True)
+        lo = track(seq, ThresholdSegmenter(0.5), tau=0.0)
+        hi = track(seq, ThresholdSegmenter(0.5), tau=0.25)
+        assert lo.linked == [True, True, True, False, False]
+        assert hi.linked == [True, True, False, True, True]
 
 
 class TestMaskTrack:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            MaskTrack(masks=np.zeros((2, 4, 4), dtype=bool), linked=(True,))
-        with pytest.raises(ParameterError):
-            MaskTrack(masks=np.zeros((4, 4), dtype=bool), linked=(True,))
+            MaskTrack(masks=np.zeros((4, 4), dtype=bool))
 
     def test_stored_masks_are_read_only(self):
         # a write through the returned mask would empty the stored one, and
@@ -338,35 +356,25 @@ class TestMaskTrack:
             m[:] = False
         kept, linked = tracker.update(b)
         assert not linked and kept is tracker.masks[0]
-        assert [int(mask.sum()) for mask in tracker.as_track().masks] == [9, 9]
+        assert [int(mask.sum()) for mask in tracker.masks] == [9, 9]
 
     def test_track_masks_are_read_only(self):
         # a write through track.masks used to empty a finished track in place
-        tracker = OverlapTracker(IdentitySegmenter(), tau=0.5)
-        tracker.update(square_mask(8, 0, 0, 3))
         _, ground_truth = moving_square_scene(3, 8, 2, (1, 0))
         given = np.stack([square_mask(8, 1, 1, 2)] * 2)
-        for track in (tracker.as_track(), ground_truth, MaskTrack(masks=given, linked=(True, True))):
+        for masks_track in (ground_truth, MaskTrack(masks=given)):
             with pytest.raises(ValueError, match="read-only"):
-                track.masks[:] = False
-            assert track.masks.any()
+                masks_track.masks[:] = False
+            assert masks_track.masks.any()
         assert given.flags.writeable  # the caller's array is not frozen
 
     def test_degenerate_is_read_off_the_masks(self):
         empty = np.zeros((3, 4, 4), dtype=bool)
         enters_later = empty.copy()
         enters_later[2, 1, 1] = True
-        assert MaskTrack(masks=empty, linked=(True,) * 3).degenerate
+        assert MaskTrack(masks=empty).degenerate
         # a ground-truth object that enters at frame 2 is not a degenerate track
-        assert not MaskTrack(masks=enters_later, linked=(True,) * 3).degenerate
+        assert not MaskTrack(masks=enters_later).degenerate
         with pytest.raises(TypeError):
-            MaskTrack(masks=enters_later, linked=(True,) * 3, degenerate=True)
+            MaskTrack(masks=enters_later, degenerate=True)
 
-    def test_tracker_export(self):
-        tracker = OverlapTracker(ThresholdSegmenter(0.5), tau=0.5)
-        with pytest.raises(ParameterError):
-            tracker.as_track()
-        for _ in range(4):
-            tracker.update(scene_from_masks([square_mask(4, 0, 0, 2)]).frame(0))
-        track = tracker.as_track()
-        assert len(track) == 4 and track.linked == (True,) * 4
