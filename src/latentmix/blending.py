@@ -33,6 +33,7 @@ from .core import (
     check_mask,
     check_real,
     check_rng,
+    check_schedule,
 )
 from .errors import ParameterError
 
@@ -125,7 +126,7 @@ def reinit_tail_noise(
     keeps no band: both factors are zero, so the result is fresh + 0.
     """
     cutoff = check_real(cutoff, 0, 0.5, "cutoff")
-    x_recent, rng = check_latent(x_recent, "x_recent"), check_rng(rng)
+    x_recent, s, rng = check_latent(x_recent, "x_recent"), check_schedule(s), check_rng(rng)
     diffused = _diffuse(x_recent, s.alpha_bar[s.T], rng)
     fresh = rng.normal(diffused.shape)
     left, right = _band_factors(*diffused.shape[1:], cutoff)

@@ -1,6 +1,6 @@
 """Latent containers, noise schedules, the seeded random source, and the
-library's rules: check_level, check_real, check_rng, as_real_array,
-check_latent and check_mask.
+library's rules: check_level, check_real, check_rng, check_schedule,
+real_array, as_real_array, check_latent and check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  All stochastic code draws from RandomSource so that
@@ -38,15 +38,21 @@ def all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
+def real_array(x, name: str) -> np.ndarray:
+    """x as an array of bools, integers or reals, not cast.  Complex, string
+    and object input is rejected: a cast to float64 would drop an imaginary
+    part or raise numpy's own error."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ParameterError(f"{name} must be a real array, got dtype {x.dtype}")
+    return x
+
+
 def as_real_array(x, name: str) -> np.ndarray:
-    """x as a float64 array.  Bools, integers and reals are cast; complex,
-    string and object input is rejected before the cast, which would drop
-    an imaginary part or raise numpy's own error."""
+    """real_array(x, name) cast to float64; a float64 array is not copied."""
     x = np.asarray(x)
     if x.dtype != _FLOAT64:
-        if x.dtype.kind not in "biuf":
-            raise ParameterError(f"{name} must be a real array, got dtype {x.dtype}")
-        x = x.astype(np.float64)
+        x = real_array(x, name).astype(np.float64)
     return x
 
 
@@ -219,6 +225,14 @@ def check_rng(rng) -> RandomSource:
     raise ParameterError(f"rng must be a RandomSource, got {type(rng).__name__}")
 
 
+def check_schedule(s) -> NoiseSchedule:
+    """Return s if it is a NoiseSchedule.  Anything else is rejected before
+    it is used, where it would fail with a bare AttributeError."""
+    if isinstance(s, NoiseSchedule):
+        return s
+    raise ParameterError(f"s must be a NoiseSchedule, got {type(s).__name__}")
+
+
 def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource) -> np.ndarray:
     """Noise a clean latent to level t: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps.
 
@@ -226,7 +240,7 @@ def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource)
     output equals x0 exactly.  The checks are here; the body is _diffuse,
     which blending.reinit_tail_noise also runs on its own checked frame.
     """
-    x0 = check_latent(x0, "x0")
+    x0, s = check_latent(x0, "x0"), check_schedule(s)
     return _diffuse(x0, s.alpha_bar[check_level(t, 0, s.T, "t")], check_rng(rng))
 
 

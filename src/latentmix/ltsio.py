@@ -10,29 +10,44 @@ other flag bit is defined, so flags is 0 or 1.
 
 All writers go through an atomic temp-file + rename so a crashed process
 never leaves a half-written file behind.
+
+The payload moves through one float32 block of whole frames, BLOCK_BYTES or
+one frame, whichever is larger: write_lts casts, scans and writes it block by
+block, and read_lts reads, scans and widens it block by block into the
+float64 result.  So besides its input or its result, a call holds at most
+one block, max(256 KB, one frame), and its finiteness scan; an int64,
+uint64 or longdouble payload also holds that block cast to float64.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 
 import numpy as np
 
-from .core import LatentSequence, all_finite, as_real_array, check_level, check_mask
+from .core import LatentSequence, all_finite, check_level, check_mask, real_array
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
 FLAG_MASK = 1
 _HEADER = struct.Struct("<4s5I")
+# 256 KB: on a 51x4x40x64 trajectory (2-vCPU host), 64 KB blocks made
+# save_sequence about 30% slower (3.1 ms against 2.35 ms); larger blocks
+# saved no time worth the memory they hold.
+BLOCK_BYTES = 1 << 18
 
 
-def atomic_write_bytes(path, *chunks) -> None:
-    """Write the bytes-like chunks, in order, to path via a temp file in the
-    same directory + rename.  A chunk may be any C-contiguous buffer, such
-    as a numpy array, and is written without being copied.  If any chunk
-    fails to write, path is left as it was and the temp file is removed.
-    The file gets the mode open() would give it: 0o666 less the umask."""
+def atomic_write_bytes(path, chunks) -> None:
+    """Write the bytes-like chunks of an iterable, in order, to path via a
+    temp file in the same directory + rename.  The iterable is consumed
+    lazily, one chunk written before the next is asked for, so a generator
+    may hand back one reused buffer each time.  A chunk may be any
+    C-contiguous buffer, such as a numpy array, and is written without
+    being copied.  If any chunk fails to be made or written, path is left
+    as it was and the temp file is removed.  The file gets the mode open()
+    would give it: 0o666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
@@ -51,46 +66,74 @@ def atomic_write_bytes(path, *chunks) -> None:
         raise
 
 
+def _block(shape: tuple) -> np.ndarray:
+    """The (rows, C, H, W) float32 block for a payload of that shape: whole
+    frames, at most BLOCK_BYTES of them, but never fewer than one frame."""
+    f, c, h, w = shape
+    return np.empty((max(1, min(f, BLOCK_BYTES // (4 * c * h * w))), c, h, w), dtype="<f4")
+
+
+def _encoded(data: np.ndarray):
+    """Yield data's stored float32 values through one reused block, each
+    block cast and scanned before it is handed on."""
+    block = _block(data.shape)
+    # Stored values are data cast to float64, then to float32.  The first
+    # cast is exact for float64 and for any dtype of 4 bytes or less (bool,
+    # masks included), which are cast straight to float32; int64, uint64
+    # and longdouble blocks round to float64 first.
+    exact = data.dtype.itemsize <= 4 or data.dtype.kind == "f" and data.dtype.itemsize == 8
+    for i in range(0, len(data), len(block)):
+        out = block[: len(data) - i]
+        rows = data[i : i + len(out)]
+        with np.errstate(over="ignore"):
+            np.copyto(out, rows if exact else rows.astype(np.float64), casting="unsafe")
+        # Check what is stored: a finite float64 beyond the float32 range
+        # is stored as inf, which read_lts rejects.
+        if not all_finite(out):
+            raise ParameterError("LTS payload contains non-finite values")
+        yield out
+
+
 def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
-    """Serialize a (F, C, H, W) float array; payload is stored as float32."""
+    """Serialize a (F, C, H, W) real array; payload is stored as float32."""
     flags = check_level(flags, 0, FLAG_MASK, "LTS flags")  # 0 or FLAG_MASK, the one defined bit
     if flags & FLAG_MASK:
         data = check_mask(data, (None, 1, None, None), "mask payload")
-    data = as_real_array(data, "LTS payload")
+    data = real_array(data, "LTS payload")
     if data.ndim != 4 or min(data.shape) < 1:
         raise ParameterError(f"LTS payload must be (F, C, H, W), got shape {data.shape}")
-    # Check what is stored: a finite float64 beyond the float32 range would
-    # be written as inf, which read_lts rejects.
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(data, dtype="<f4")
-    if not all_finite(payload):
-        raise ParameterError("LTS payload contains non-finite values")
     header = _HEADER.pack(MAGIC, *data.shape, flags)
-    atomic_write_bytes(path, header, payload)
+    atomic_write_bytes(path, itertools.chain((header,), _encoded(data)))
 
 
 def read_lts(path) -> tuple[np.ndarray, int]:
-    """Read an LTS file; returns (float64 (F, C, H, W) array, flags)."""
+    """Read an LTS file; returns (float64 (F, C, H, W) array, flags).  The
+    header is checked against the file's size before anything is allocated."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, f, c, h, w, flags = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if flags & ~FLAG_MASK:
-        raise FormatError(f"{path}: unknown flag bits {flags:#x}")
-    if min(f, c, h, w) < 1:
-        raise FormatError(f"{path}: degenerate dimensions ({f}, {c}, {h}, {w})")
-    expected = _HEADER.size + 4 * f * c * h * w
-    if len(raw) != expected:
-        raise FormatError(f"{path}: payload size {len(raw) - _HEADER.size} does not match header")
-    # Scan the stored float32 values: widening keeps every inf and nan, and
-    # the float32 scan reads half the bytes.
-    stored = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    if not all_finite(stored):
-        raise FormatError(f"{path}: payload contains non-finite values")
-    data = stored.astype(np.float64).reshape(f, c, h, w)
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, f, c, h, w, flags = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if flags & ~FLAG_MASK:
+            raise FormatError(f"{path}: unknown flag bits {flags:#x}")
+        if min(f, c, h, w) < 1:
+            raise FormatError(f"{path}: degenerate dimensions ({f}, {c}, {h}, {w})")
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != 4 * f * c * h * w:
+            raise FormatError(f"{path}: payload size {payload} does not match header")
+        data = np.empty((f, c, h, w))
+        block = _block(data.shape)
+        for i in range(0, f, len(block)):
+            stored = block[: f - i]
+            if fh.readinto(stored) != stored.nbytes:
+                raise FormatError(f"{path}: payload ends before the size its header gives")
+            # Scan the stored float32 values: widening keeps every inf and
+            # nan, and the float32 scan reads half the bytes.
+            if not all_finite(stored):
+                raise FormatError(f"{path}: payload contains non-finite values")
+            data[i : i + len(stored)] = stored
     if flags & FLAG_MASK:
         try:
             check_mask(data, (None, 1, None, None), "mask payload")

@@ -97,6 +97,7 @@ from .core import (
     check_level,
     check_real,
     check_rng,
+    check_schedule,
 )
 from .errors import NumericError, ParameterError
 
@@ -231,7 +232,7 @@ def momentum_step(
     operands.  With kappa0 = 0 this is the vanilla DDIM step.  state is not
     modified; the updated velocity comes back in a new MomentumState.
     """
-    x_t = check_latent(x_t, "x_t")
+    x_t, s = check_latent(x_t, "x_t"), check_schedule(s)
     if state.T != s.T:
         raise ParameterError(f"state horizon T={state.T} does not match schedule T={s.T}")
     if state.v.shape != x_t.shape:
@@ -306,7 +307,7 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
     on entry and every hop's output after it, so a blow-up raises
     NumericError naming the hop, and the trajectory is not scanned again.
     """
-    x = check_latent(x0, "x0")
+    x, s = check_latent(x0, "x0"), check_schedule(s)
     grid = step_grid(s.T, steps)
     traj = np.empty((len(grid), *x.shape))
     traj[0] = x
@@ -320,6 +321,6 @@ def ddim_sample(x_T: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: in
 
     x_T is checked on entry and every hop's output after it, so a blow-up
     raises NumericError naming the hop instead of returning inf or nan."""
-    x = check_latent(x_T, "x_T")
+    x, s = check_latent(x_T, "x_T"), check_schedule(s)
     grid = step_grid(s.T, steps if steps is not None else s.T)
     return _sweep("ddim_sample", x, grid[::-1].tolist(), denoiser, s)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, check_latent, check_level, check_real
+from .core import LatentSequence, NoiseSchedule, check_latent, check_level, check_real, check_schedule
 from .errors import ParameterError
 from .tracking import MaskTrack
 
@@ -59,7 +59,7 @@ class _Oracle:
 
 def oracle_denoiser(spec: OracleSpec, s: NoiseSchedule) -> _Oracle:
     """Build the analytic denoiser for a known bank of targets."""
-    return _Oracle(spec.frames, s)
+    return _Oracle(spec.frames, check_schedule(s))
 
 
 def moving_square_scene(

@@ -21,7 +21,8 @@ from latentmix import core
 from latentmix.blending import BlendParams, ResidualParams, blend_region, gamma_residual, reinit_tail_noise
 from latentmix.errors import ParameterError
 from latentmix.ltsio import FLAG_MASK, load_masks, load_sequence, read_lts, save_masks, save_sequence, write_lts
-from latentmix.sampler import MomentumState, ddim_invert, momentum_step
+from latentmix.sampler import MomentumState, ddim_invert, ddim_sample, momentum_step
+from latentmix.synth import OracleSpec, oracle_denoiser
 from latentmix.tracking import MaskTrack, OverlapTracker, iou
 
 from conftest import traced_peak
@@ -535,6 +536,30 @@ def test_rng_must_be_a_random_source(caller, rng):
         RNG_CALLERS[caller](rng)
     out = RNG_CALLERS[caller](RandomSource(0))
     assert out.shape == RNG_SHAPE and np.array_equal(out, RNG_CALLERS[caller](RandomSource(0)))
+
+
+# Each entry point that takes a NoiseSchedule, given s, returns an array it built with s.
+SCHEDULE_CALLERS = {
+    "forward_diffuse": lambda s: forward_diffuse(np.ones(RNG_SHAPE), 8, s, RandomSource(0)),
+    "reinit_tail_noise": lambda s: reinit_tail_noise(np.ones(RNG_SHAPE), s, 0.25, RandomSource(0)),
+    "momentum_step": lambda s: momentum_step(
+        np.ones(RNG_SHAPE), 8, RecordingDenoiser(), s, MomentumState.fresh(RNG_SHAPE, 8)
+    )[0].x_prev,
+    "ddim_sample": lambda s: ddim_sample(np.ones(RNG_SHAPE), RecordingDenoiser(), s, steps=2),
+    "ddim_invert": lambda s: ddim_invert(np.ones(RNG_SHAPE), RecordingDenoiser(), s, steps=2).data,
+    "oracle_denoiser": lambda s: oracle_denoiser(OracleSpec(np.ones((1, *RNG_SHAPE))), s).predict_eps(
+        np.ones(RNG_SHAPE), 8
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", SCHEDULE_CALLERS)
+@pytest.mark.parametrize("s", [None, object()], ids=["NoneType", "object"])
+def test_schedule_must_be_a_noise_schedule(caller, s):
+    # each used to end in a bare AttributeError on s.T or s.alpha_bar
+    with pytest.raises(ParameterError, match=f"^s must be a NoiseSchedule, got {type(s).__name__}$"):
+        SCHEDULE_CALLERS[caller](s)
+    assert np.all(np.isfinite(SCHEDULE_CALLERS[caller](make_schedule(8))))
 
 
 def test_deterministic_step_leaves_its_rng_unchecked():

@@ -2,6 +2,7 @@ import hashlib
 import os
 import re
 import struct
+import types
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from latentmix.core import LatentSequence, RandomSource
 from latentmix.errors import FormatError, ParameterError
+from latentmix import ltsio
 from latentmix.ltsio import (
+    BLOCK_BYTES,
     FLAG_MASK,
     atomic_write_bytes,
     load_masks,
@@ -206,7 +209,7 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 def test_atomic_write_joins_chunks(tmp_path):
     path = tmp_path / "chunks.bin"
-    atomic_write_bytes(path, b"ab", memoryview(b"cd"), np.arange(2, dtype="<f4"))
+    atomic_write_bytes(path, [b"ab", memoryview(b"cd"), np.arange(2, dtype="<f4")])
     assert path.read_bytes() == b"abcd" + np.arange(2, dtype="<f4").tobytes()
 
 
@@ -214,7 +217,21 @@ def test_atomic_write_failed_chunk_keeps_target(tmp_path):
     path = tmp_path / "target.bin"
     path.write_bytes(b"old")
     with pytest.raises(TypeError):
-        atomic_write_bytes(path, b"new", object())  # no buffer: fails mid-write
+        atomic_write_bytes(path, [b"new", object()])  # no buffer: fails mid-write
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["target.bin"]
+
+
+def test_atomic_write_failed_generator_keeps_target(tmp_path):
+    path = tmp_path / "target.bin"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("no more chunks")
+
+    with pytest.raises(RuntimeError, match="no more chunks"):
+        atomic_write_bytes(path, chunks())
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["target.bin"]
 
@@ -226,17 +243,112 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
     previous = os.umask(umask)
     try:
         write_lts(tmp_path / "x.lts", np.zeros((1, 1, 2, 2)))
-        atomic_write_bytes(tmp_path / "y.bin", b"y")
+        atomic_write_bytes(tmp_path / "y.bin", [b"y"])
     finally:
         os.umask(previous)
     for name in ("x.lts", "y.bin"):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
 
+# What a call may hold beyond its input or result and one block: the
+# finiteness scan's bool block in the worst case, and Python objects.
+SLACK = 64 * 1024
+TRAJECTORY = (51, 4, 40, 64)  # the bench's 50-hop trajectory at video scale
+
+
 def test_save_sequence_memory_budget(tmp_path):
-    # the float32 payload plus its finiteness mask; no bytes copies of it
-    seq = LatentSequence(RandomSource(10).normal((51, 4, 40, 64)))
+    # one float32 block; no float32 or bytes copy of the whole payload
+    seq = LatentSequence(RandomSource(10).normal(TRAJECTORY))
     path = tmp_path / "traj.lts"
     save_sequence(path, seq)  # warm-up
     peak = traced_peak(save_sequence, path, seq)
-    assert peak <= 1.5 * seq.data.size * 4
+    assert peak <= BLOCK_BYTES + SLACK
+
+
+def test_read_lts_memory_budget(tmp_path):
+    # the float64 result and one float32 block; the file is never read whole
+    seq = LatentSequence(RandomSource(10).normal(TRAJECTORY))
+    path = tmp_path / "traj.lts"
+    save_sequence(path, seq)
+    read_lts(path)  # warm-up
+    peak = traced_peak(read_lts, path)
+    assert peak <= seq.data.nbytes + BLOCK_BYTES + SLACK
+
+
+def test_read_checks_size_before_allocating(tmp_path):
+    # a header claiming 2**48 values over a 24-byte file fails on its size,
+    # before the float64 result or a block is allocated
+    path = tmp_path / "huge.lts"
+    path.write_bytes(struct.pack("<4s5I", b"LTS1", 65535, 65535, 65535, 1, 0))
+
+    def read():
+        with pytest.raises(FormatError, match="does not match header"):
+            read_lts(path)
+
+    assert traced_peak(read) < 1 << 20
+
+
+def test_short_read_is_a_format_error(tmp_path, monkeypatch):
+    # a file that shrinks after its size was checked ends mid-payload
+    path = tmp_path / "short.lts"
+    write_lts(path, np.zeros((3, 1, 2, 2)))
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:-4])
+    monkeypatch.setattr(ltsio.os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
+    with pytest.raises(FormatError, match="payload ends before the size its header gives"):
+        read_lts(path)
+
+
+# 51 frames of 40 KB fill six-frame blocks with three frames left over; a
+# 360 KB frame is larger than a block, so each block holds one frame
+BLOCKED = [(51, 4, 40, 64), (2, 1, 300, 300)]
+
+
+@pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
+def test_blocked_write_matches_whole_payload_cast(tmp_path, shape, dtype):
+    frame_bytes = 4 * shape[1] * shape[2] * shape[3]
+    assert frame_bytes > BLOCK_BYTES or shape[0] % (BLOCK_BYTES // frame_bytes)
+    values = RandomSource(11).normal(shape)
+    # not float32-exact, and integers beyond 2**24
+    data = {
+        np.float64: values * 3.0,
+        np.float32: (values * 3.0).astype(np.float32),
+        np.int64: (values * 2**40).astype(np.int64),
+        bool: values > 0,
+    }[dtype]
+    if dtype is np.int64:
+        # rounds to 2**60 + 2**36 in float64, then to even 2**60 in float32;
+        # a direct cast to float32 gives 2**60 + 2**37
+        data[-1, -1, -1, -1] = 2**60 + 2**36 + 1
+    flags = FLAG_MASK if dtype is bool else 0
+    if flags:
+        data = data[:, :1]
+    path = tmp_path / "blocked.lts"
+    write_lts(path, data, flags)
+    stored = np.asarray(data, dtype=np.float64).astype("<f4")
+    assert path.read_bytes() == struct.pack("<4s5I", b"LTS1", *data.shape, flags) + stored.tobytes()
+    back, back_flags = read_lts(path)
+    assert back_flags == flags and np.array_equal(back, stored.astype(np.float64))
+
+
+@pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
+@pytest.mark.parametrize("bad", [np.nan, 1e39])
+def test_non_finite_in_last_block_leaves_no_file(tmp_path, shape, bad):
+    data = np.zeros(shape)
+    data[-1, -1, -1, -1] = bad
+    path = tmp_path / "traj.lts"
+    with pytest.raises(ParameterError, match="non-finite"):
+        write_lts(path, data)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
+def test_read_rejects_non_finite_in_last_block(tmp_path, shape):
+    path = tmp_path / "traj.lts"
+    write_lts(path, np.zeros(shape))
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", np.inf)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="payload contains non-finite values$"):
+        read_lts(path)
