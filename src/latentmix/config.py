@@ -105,6 +105,8 @@ def parse_config(source: str | dict) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
+    if not isinstance(cfg, RunConfig):
+        raise ConfigError(f"config must be a RunConfig, got {type(cfg).__name__}")
     for field in dataclasses.fields(cfg):
         if _is_section(field) and not isinstance(getattr(cfg, field.name), field.default_factory):
             raise ConfigError(f"{field.name} must be a {field.type}, got {getattr(cfg, field.name)!r}")

@@ -198,12 +198,12 @@ class RandomSource:
 
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = check_level(seed, 0, math.inf, "seed")
-        self.path = tuple(int(k) for k in _path)
+        self.path = tuple(check_level(k, 0, math.inf, "spawn key") for k in _path)
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def child(self, *key: int) -> "RandomSource":
-        """Derive an independent stream keyed by integers."""
+        """Derive an independent stream keyed by integers >= 0."""
         return RandomSource(self.seed, self.path + key)
 
     def normal(self, shape) -> np.ndarray:

@@ -2,21 +2,27 @@
 
 Layout: magic "LTS1", then five little-endian u32 (F, C, H, W, flags), then
 F*C*H*W float32 little-endian values in frame-major, channel, row, column
-order.  Flag bit 0 marks a mask payload: C must be 1 and every value must be
-exactly 0.0 or 1.0.  That is one rule, core.check_mask on shape
-(F, 1, H, W): write_lts applies it before writing, and read_lts applies it
-to what it read and raises its error as FormatError naming the path.  No
-other flag bit is defined, so flags is 0 or 1.
+order.  Flag bit 0 marks a mask payload, and no other bit is defined.
+
+The payload's kind is its array's dtype, so no caller passes flags: write_lts
+stores a bool (F, 1, H, W) array as a mask, flag bit 0 set, and any other real
+array as a latent, flags 0.  read_lts gives a mask file back as a bool (F, 1,
+H, W) array and any other file as float64.  Each payload goes through one
+rule, once, block by block.  A latent block is scanned for inf and nan as
+stored, on write and on read.  A bool payload needs no scan on write; on read,
+each stored mask block must pass core.check_mask (every value exactly 0.0 or
+1.0, which also rules out inf and nan).  read_lts raises its failures as
+FormatError naming the path.
 
 All writers go through an atomic temp-file + rename so a crashed process
 never leaves a half-written file behind.
 
 The payload moves through one float32 block of whole frames, BLOCK_BYTES or
 one frame, whichever is larger: write_lts casts, scans and writes it block by
-block, and read_lts reads, scans and widens it block by block into the
-float64 result.  So besides its input or its result, a call holds at most
-one block, max(256 KB, one frame), and its finiteness scan; an int64,
-uint64 or longdouble payload also holds that block cast to float64.
+block, and read_lts reads, checks and converts it block by block into its
+result.  So besides its input or its result, a call holds at most one block,
+max(256 KB, one frame), and its check's temporaries; an int64, uint64 or
+longdouble payload also holds that block cast to float64.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import struct
 
 import numpy as np
 
-from .core import LatentSequence, all_finite, check_level, check_mask, real_array
+from .core import LatentSequence, all_finite, check_mask, real_array
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
@@ -49,8 +55,7 @@ def atomic_write_bytes(path, chunks) -> None:
     as it was and the temp file is removed.  The file gets the mode open()
     would give it: 0o666 less the umask."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     # O_EXCL: never open a file that is already there; O_BINARY exists only on Windows
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
@@ -78,7 +83,7 @@ def _encoded(data: np.ndarray):
     block cast and scanned before it is handed on."""
     block = _block(data.shape)
     # Stored values are data cast to float64, then to float32.  The first
-    # cast is exact for float64 and for any dtype of 4 bytes or less (bool,
+    # cast is exact for float64 and for any dtype of 4 bytes or less (bool
     # masks included), which are cast straight to float32; int64, uint64
     # and longdouble blocks round to float64 first.
     exact = data.dtype.itemsize <= 4 or data.dtype.kind == "f" and data.dtype.itemsize == 8
@@ -88,27 +93,28 @@ def _encoded(data: np.ndarray):
         with np.errstate(over="ignore"):
             np.copyto(out, rows if exact else rows.astype(np.float64), casting="unsafe")
         # Check what is stored: a finite float64 beyond the float32 range
-        # is stored as inf, which read_lts rejects.
-        if not all_finite(out):
+        # is stored as inf, which read_lts rejects.  A bool block is all
+        # 0.0 and 1.0, so it needs no scan.
+        if data.dtype != bool and not all_finite(out):
             raise ParameterError("LTS payload contains non-finite values")
         yield out
 
 
-def write_lts(path, data: np.ndarray, flags: int = 0) -> None:
-    """Serialize a (F, C, H, W) real array; payload is stored as float32."""
-    flags = check_level(flags, 0, FLAG_MASK, "LTS flags")  # 0 or FLAG_MASK, the one defined bit
-    if flags & FLAG_MASK:
-        data = check_mask(data, (None, 1, None, None), "mask payload")
+def write_lts(path, data: np.ndarray) -> None:
+    """Serialize a (F, C, H, W) real array; payload is stored as float32.  A
+    bool array is a mask payload, (F, 1, H, W), and is flagged FLAG_MASK."""
     data = real_array(data, "LTS payload")
-    if data.ndim != 4 or min(data.shape) < 1:
-        raise ParameterError(f"LTS payload must be (F, C, H, W), got shape {data.shape}")
+    flags = FLAG_MASK if data.dtype == bool else 0
+    if data.ndim != 4 or min(data.shape) < 1 or flags and data.shape[1] != 1:
+        raise ParameterError(f"LTS payload must be (F, {1 if flags else 'C'}, H, W), got shape {data.shape}")
     header = _HEADER.pack(MAGIC, *data.shape, flags)
     atomic_write_bytes(path, itertools.chain((header,), _encoded(data)))
 
 
-def read_lts(path) -> tuple[np.ndarray, int]:
-    """Read an LTS file; returns (float64 (F, C, H, W) array, flags).  The
-    header is checked against the file's size before anything is allocated."""
+def read_lts(path) -> np.ndarray:
+    """Read an LTS file: a mask file as a bool (F, 1, H, W) array, any other
+    as a float64 (F, C, H, W) array.  The header is checked against the
+    file's size before anything is allocated."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -120,35 +126,38 @@ def read_lts(path) -> tuple[np.ndarray, int]:
             raise FormatError(f"{path}: unknown flag bits {flags:#x}")
         if min(f, c, h, w) < 1:
             raise FormatError(f"{path}: degenerate dimensions ({f}, {c}, {h}, {w})")
+        if flags and c != 1:  # flags is now 0 or FLAG_MASK
+            raise FormatError(f"{path}: mask payload must have one channel, got {c}")
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
         if payload != 4 * f * c * h * w:
             raise FormatError(f"{path}: payload size {payload} does not match header")
-        data = np.empty((f, c, h, w))
+        data = np.empty((f, c, h, w), dtype=bool if flags else np.float64)
         block = _block(data.shape)
         for i in range(0, f, len(block)):
             stored = block[: f - i]
             if fh.readinto(stored) != stored.nbytes:
                 raise FormatError(f"{path}: payload ends before the size its header gives")
-            # Scan the stored float32 values: widening keeps every inf and
-            # nan, and the float32 scan reads half the bytes.
-            if not all_finite(stored):
+            # Check the stored float32 values: widening keeps every inf and
+            # nan, and the float32 scan reads half the bytes.  The mask rule
+            # admits only 0.0 and 1.0, so a mask needs no finiteness scan.
+            if flags:
+                try:
+                    stored = check_mask(stored, (None, 1, None, None), "mask payload")
+                except ParameterError as e:
+                    raise FormatError(f"{path}: {e}") from None
+            elif not all_finite(stored):
                 raise FormatError(f"{path}: payload contains non-finite values")
             data[i : i + len(stored)] = stored
-    if flags & FLAG_MASK:
-        try:
-            check_mask(data, (None, 1, None, None), "mask payload")
-        except ParameterError as e:
-            raise FormatError(f"{path}: {e}") from None
-    return data, flags
+    return data
 
 
 def save_sequence(path, seq: LatentSequence) -> None:
-    write_lts(path, seq.data, flags=0)
+    write_lts(path, seq.data)
 
 
 def load_sequence(path) -> LatentSequence:
-    data, flags = read_lts(path)
-    if flags & FLAG_MASK:
+    data = read_lts(path)
+    if data.dtype == bool:
         raise FormatError(f"{path}: expected latent payload, found mask payload")
     return LatentSequence._checked(data)  # read_lts has scanned the payload
 
@@ -156,11 +165,11 @@ def load_sequence(path) -> LatentSequence:
 def save_masks(path, masks: np.ndarray) -> None:
     """Store a (F, H, W) mask stack, checked by core.check_mask, as a
     mask-flagged LTS file."""
-    write_lts(path, check_mask(masks, (None, None, None), "mask stack")[:, None], flags=FLAG_MASK)
+    write_lts(path, check_mask(masks, (None, None, None), "mask stack")[:, None])
 
 
 def load_masks(path) -> np.ndarray:
-    data, flags = read_lts(path)
-    if not flags & FLAG_MASK:
+    data = read_lts(path)
+    if data.dtype != bool:
         raise FormatError(f"{path}: expected mask payload (flag bit 0)")
-    return data[:, 0].astype(bool)
+    return data[:, 0]

@@ -80,8 +80,12 @@ def moving_square_scene(
     grid = check_level(grid, 1, math.inf, "grid")
     square = check_level(square, 1, grid, "square side")
     channels = check_level(channels, 1, math.inf, "channels")
-    dx = check_level(velocity[0], -math.inf, math.inf, "velocity dx")
-    dy = check_level(velocity[1], -math.inf, math.inf, "velocity dy")
+    try:
+        dx, dy = velocity
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ParameterError(f"velocity must be a (dx, dy) pair, got {velocity!r}") from None
+    dx = check_level(dx, -math.inf, math.inf, "velocity dx")
+    dy = check_level(dy, -math.inf, math.inf, "velocity dy")
     value = check_real(value, -math.inf, math.inf, "value")
     hi = grid - square
     data = np.zeros((frames, channels, grid, grid))
@@ -99,6 +103,7 @@ def checkerboard_frame(grid: int, channels: int = 4, hi: float = 1.0, lo: float 
     """Unit-cell checkerboard, identical across channels; a cheap pattern
     that is far from any moving-square scene in the proxy embedding space."""
     grid, channels = check_level(grid, 1, math.inf, "grid"), check_level(channels, 1, math.inf, "channels")
+    hi, lo = check_real(hi, -math.inf, math.inf, "hi"), check_real(lo, -math.inf, math.inf, "lo")
     rows, cols = np.indices((grid, grid))
     board = np.where((rows + cols) % 2 == 0, hi, lo)
     return np.broadcast_to(board, (channels, grid, grid)).astype(np.float64).copy()

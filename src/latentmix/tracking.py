@@ -130,7 +130,9 @@ class OverlapTracker:
 
     def __init__(self, segmenter: Segmenter, tau: float):
         self.tau = check_real(tau, 0, 1, "tau")
-        self._segment = segmenter.segment
+        self._segment = getattr(segmenter, "segment", None)
+        if not callable(self._segment):
+            raise ParameterError(f"segmenter must have a callable segment, got {type(segmenter).__name__}")
         self.masks: list[np.ndarray] = []
         self.linked: list[bool] = []
 

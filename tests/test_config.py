@@ -134,6 +134,11 @@ class TestValidate:
         with pytest.raises(ConfigError):
             validate_config(RunConfig(sampler={"eta": 0.0}))
 
+    @pytest.mark.parametrize("cfg", [None, {}, SamplerConfig()], ids=repr)
+    def test_not_a_run_config(self, cfg):
+        with pytest.raises(ConfigError, match="^config must be a RunConfig, got "):
+            validate_config(cfg)
+
 
 def config_sources(eta, beta_cap):
     """Config dicts with sampler.eta drawn from eta and both betas at most

@@ -20,7 +20,7 @@ from latentmix.core import (
 from latentmix import core
 from latentmix.blending import BlendParams, ResidualParams, blend_region, gamma_residual, reinit_tail_noise
 from latentmix.errors import ParameterError
-from latentmix.ltsio import FLAG_MASK, load_masks, load_sequence, read_lts, save_masks, save_sequence, write_lts
+from latentmix.ltsio import load_masks, load_sequence, read_lts, save_masks, save_sequence, write_lts
 from latentmix.sampler import MomentumState, ddim_invert, ddim_sample, momentum_step
 from latentmix.synth import OracleSpec, oracle_denoiser
 from latentmix.tracking import MaskTrack, OverlapTracker, iou
@@ -215,6 +215,18 @@ class TestRandomSource:
             RandomSource(True)
         assert RandomSource(np.int64(3)).seed == 3
 
+    @pytest.mark.parametrize("key", [1.5, True, np.float64(1.9), "1", -1], ids=repr)
+    def test_rejects_bad_spawn_key(self, key):
+        # int(k) made 1.5, True and 1.9 alias child(1), took "1", and let -1
+        # reach numpy's own ValueError
+        with pytest.raises(ParameterError, match="^spawn key must"):
+            RandomSource(7).child(0, key)
+
+    def test_numpy_integer_spawn_key(self):
+        root = RandomSource(7)
+        assert root.child(np.int64(1)).path == (1,)
+        assert root.child(np.int64(1)).normal((8,)).tobytes() == root.child(1).normal((8,)).tobytes()
+
     def test_uniform_range(self):
         u = RandomSource(5).uniform((1000,))
         assert np.all((u >= 0.0) & (u < 1.0))
@@ -397,8 +409,10 @@ def tracker_mask(m, _):
 
 
 def write_lts_mask(m, tmp_path):
-    write_lts(tmp_path / "w.lts", np.asarray(m)[None, None], FLAG_MASK)
-    return read_lts(tmp_path / "w.lts")[0][0, 0] == 1.0
+    # a bool array is stored as a mask and read back as one; a numeric 0/1
+    # array is stored as a latent and read back as 0.0 and 1.0
+    write_lts(tmp_path / "w.lts", np.asarray(m)[None, None])
+    return read_lts(tmp_path / "w.lts")[0, 0] == 1
 
 
 def save_masks_mask(m, tmp_path):
@@ -442,11 +456,20 @@ MASK_CASES = {
 ACCEPTED = ("bool", "int", "float")
 # iou's a, MaskTrack and the writers take a mask of any size
 ON_ANY_GRID = ("iou_a", "MaskTrack", "save_masks", "write_lts")
+# write_lts stores a numeric array as a latent, so 0.3 and 2 are latent
+# values to it; save_masks is the writer that holds a numeric stack to 0 or 1
+LATENT_VALUES_TO_WRITE_LTS = ("soft", "two")
 
 
 @pytest.mark.parametrize(
     "caller, case",
-    [(c, k) for c in MASK_CALLERS for k in MASK_CASES if not (k == "off_grid" and c in ON_ANY_GRID)],
+    [
+        (c, k)
+        for c in MASK_CALLERS
+        for k in MASK_CASES
+        if not (k == "off_grid" and c in ON_ANY_GRID)
+        and not (k in LATENT_VALUES_TO_WRITE_LTS and c == "write_lts")
+    ],
 )
 def test_masks_are_bool_or_binary(caller, case, tmp_path):
     if case in ACCEPTED:
@@ -471,7 +494,7 @@ def momentum_step_latent(x, _):
 
 def write_lts_latent(x, tmp_path):
     write_lts(tmp_path / "x.lts", np.asarray(x)[None])
-    return read_lts(tmp_path / "x.lts")[0][0]
+    return read_lts(tmp_path / "x.lts")[0]
 
 
 # Each entry point that takes a latent, given an accepted (C, H, W) latent

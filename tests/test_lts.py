@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentmix.core import LatentSequence, RandomSource
+from latentmix.core import LatentSequence, RandomSource, check_mask
 from latentmix.errors import FormatError, ParameterError
 from latentmix import ltsio
 from latentmix.ltsio import (
@@ -39,7 +39,7 @@ def test_sequence_round_trip(tmp_path):
 
 def test_header_layout(tmp_path):
     path = tmp_path / "a.lts"
-    write_lts(path, np.zeros((2, 3, 4, 5)), flags=0)
+    write_lts(path, np.zeros((2, 3, 4, 5)))
     raw = path.read_bytes()
     magic, f, c, h, w, flags = struct.unpack_from("<4s5I", raw)
     assert magic == b"LTS1"
@@ -69,25 +69,41 @@ def test_mask_round_trip(tmp_path):
     masks = RandomSource(9).uniform((5, 8, 8)) > 0.5
     path = tmp_path / "masks.lts"
     save_masks(path, masks)
-    _, flags = read_lts(path)
-    assert flags & FLAG_MASK
+    assert struct.unpack_from("<4s5I", path.read_bytes())[5] == FLAG_MASK
     assert np.array_equal(load_masks(path), masks)
 
 
+def test_read_lts_returns_bool_for_a_mask_file(tmp_path):
+    masks = RandomSource(9).uniform((5, 1, 8, 8)) > 0.5
+    path = tmp_path / "masks.lts"
+    write_lts(path, masks)
+    back = read_lts(path)
+    assert back.dtype == bool and np.array_equal(back, masks)
+    # a numeric 0/1 array is a latent payload, read back as float64
+    write_lts(path, masks.astype(np.float64))
+    assert struct.unpack_from("<4s5I", path.read_bytes())[5] == 0
+    assert read_lts(path).dtype == np.float64
+
+
 def test_mask_flag_enforced_on_write(tmp_path):
-    with pytest.raises(ParameterError):
-        write_lts(tmp_path / "x.lts", np.full((1, 2, 2, 2), 1.0), flags=FLAG_MASK)  # C != 1
-    with pytest.raises(ParameterError):
-        write_lts(tmp_path / "y.lts", np.full((1, 1, 2, 2), 0.5), flags=FLAG_MASK)  # non-binary
+    # a bool payload is a mask, so it has one channel; nothing may reach the disk
+    with pytest.raises(ParameterError, match=r"^LTS payload must be \(F, 1, H, W\), got shape \(1, 2, 2, 2\)$"):
+        write_lts(tmp_path / "x.lts", np.ones((1, 2, 2, 2), dtype=bool))
+    with pytest.raises(ParameterError, match="^mask stack values must be exactly 0 or 1$"):
+        save_masks(tmp_path / "y.lts", np.full((1, 2, 2), 0.5))  # non-binary
+    assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("flags", [-1, 2, 6, 2**32, True, 1.0])
-def test_write_rejects_undefined_flags(tmp_path, flags):
-    # only 0 and FLAG_MASK are defined; nothing may reach the disk
-    path = tmp_path / "f.lts"
-    with pytest.raises(ParameterError, match="flags"):
-        write_lts(path, np.zeros((1, 1, 2, 2)), flags=flags)
-    assert not path.exists()
+def test_save_masks_checks_the_stack_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return check_mask(*args)
+
+    monkeypatch.setattr(ltsio, "check_mask", counted)
+    save_masks(tmp_path / "m.lts", np.ones((2, 3, 4), dtype=bool))
+    assert calls == ["mask stack"]
 
 
 def test_read_rejects_undefined_flags(tmp_path):
@@ -181,8 +197,8 @@ def test_accepted_payload_reads_back(tmp_path_factory, values):
     data = np.array(values, dtype=np.float64).reshape(len(values), 1, 1, 1)
     path = tmp_path_factory.mktemp("lts") / "seq.lts"
     write_lts(path, data)
-    back, flags = read_lts(path)
-    assert flags == 0
+    back = read_lts(path)
+    assert back.dtype == np.float64
     assert np.array_equal(back, data.astype(np.float32).astype(np.float64))
 
 
@@ -195,8 +211,8 @@ def test_payload_whose_float32_sum_of_squares_overflows_reads_back(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         write_lts(path, data)
-        back, flags = read_lts(path)
-    assert flags == 0
+        back = read_lts(path)
+    assert back.dtype == np.float64
     assert np.array_equal(back, data.astype(np.float32).astype(np.float64))
 
 
@@ -325,11 +341,12 @@ def test_blocked_write_matches_whole_payload_cast(tmp_path, shape, dtype):
     if flags:
         data = data[:, :1]
     path = tmp_path / "blocked.lts"
-    write_lts(path, data, flags)
+    write_lts(path, data)
     stored = np.asarray(data, dtype=np.float64).astype("<f4")
     assert path.read_bytes() == struct.pack("<4s5I", b"LTS1", *data.shape, flags) + stored.tobytes()
-    back, back_flags = read_lts(path)
-    assert back_flags == flags and np.array_equal(back, stored.astype(np.float64))
+    back = read_lts(path)
+    assert back.dtype == (bool if flags else np.float64)
+    assert np.array_equal(back, data if flags else stored.astype(np.float64))
 
 
 @pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
@@ -352,3 +369,33 @@ def test_read_rejects_non_finite_in_last_block(tmp_path, shape):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="payload contains non-finite values$"):
         read_lts(path)
+
+
+# 70 frames of 10 KB fill 25-frame blocks with 20 left over; a 360 KB frame
+# is larger than a block
+MASK_BLOCKED = [(70, 1, 40, 64), (2, 1, 300, 300)]
+
+
+@pytest.mark.parametrize("shape", MASK_BLOCKED, ids=["70-frames", "frame-above-block"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+def test_read_rejects_non_binary_mask_in_last_block(tmp_path, shape, bad):
+    path = tmp_path / "masks.lts"
+    write_lts(path, np.ones(shape, dtype=bool))
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = struct.pack("<f", bad)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: mask payload values must be exactly 0 or 1$"):
+        read_lts(path)
+
+
+MASK_STACK = (16, 40, 64)  # the bench's mask stack at video scale
+
+
+def test_load_masks_memory_budget(tmp_path):
+    # the bool result and one float32 block; no float64 copy of the stack
+    masks = RandomSource(12).uniform(MASK_STACK) > 0.5
+    path = tmp_path / "masks.lts"
+    save_masks(path, masks)
+    load_masks(path)  # warm-up
+    peak = traced_peak(load_masks, path)
+    assert peak <= BLOCK_BYTES + masks.nbytes + SLACK

@@ -150,6 +150,15 @@ class TestMovingSquareScene:
         with pytest.raises(ParameterError, match=message):
             moving_square_scene(4, 8, 3, velocity, value=value)
 
+    @pytest.mark.parametrize("velocity", [(1,), None, (1, 0, 5), 3], ids=repr)
+    def test_velocity_must_be_a_pair(self, velocity):
+        with pytest.raises(ParameterError, match=r"^velocity must be a \(dx, dy\) pair, got "):
+            moving_square_scene(4, 8, 3, velocity)
+
+    def test_velocity_array_is_a_pair(self):
+        seq, _ = moving_square_scene(4, 8, 3, np.array([1, 0]))
+        assert np.array_equal(seq.data, moving_square_scene(4, 8, 3, (1, 0))[0].data)
+
     def test_negative_velocity_clamps_at_the_border(self):
         _, track = moving_square_scene(3, 8, 2, (-2, -1))
         for k in range(3):
@@ -163,6 +172,12 @@ class TestCheckerboard:
         assert f.shape == (2, 4, 4)
         assert f[0, 0, 0] == 1.0 and f[0, 0, 1] == -1.0 and f[1, 1, 0] == -1.0
         assert np.array_equal(f[0], f[1])
+
+    @pytest.mark.parametrize("name", ["hi", "lo"])
+    @pytest.mark.parametrize("bad, message", [(np.nan, "must be finite"), (np.inf, "must be finite"), ("1", "must be a number")])
+    def test_levels_checked(self, name, bad, message):
+        with pytest.raises(ParameterError, match=f"^{name} {message}"):
+            checkerboard_frame(4, **{name: bad})
 
 
 class TestPatchEmbeddingProxy:

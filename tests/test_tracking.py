@@ -1,3 +1,4 @@
+import types
 from collections import deque
 
 import numpy as np
@@ -305,6 +306,13 @@ class TestTrackMasks:
         tracker = track(seq, ThresholdSegmenter(0.5), tau=0.4)
         assert tracker.linked == [True, True, True, True]
         assert calls == ["segmenter output"] * 4
+
+    @pytest.mark.parametrize(
+        "segmenter", [object(), None, types.SimpleNamespace(segment=0.5)], ids=["object", "None", "segment-not-callable"]
+    )
+    def test_segmenter_must_have_a_callable_segment(self, segmenter):
+        with pytest.raises(ParameterError, match="^segmenter must have a callable segment, got "):
+            OverlapTracker(segmenter, 0.5)
 
     def test_tau_validation(self):
         seq = scene_from_masks([square_mask(4, 0, 0, 2)])
