@@ -77,6 +77,8 @@ def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendP
     if x_cond_t.shape != x_t.shape:
         raise ParameterError(f"conditioned latent shape {x_cond_t.shape} does not match {x_t.shape}")
     m = check_mask(m, x_t.shape[1:])
+    if not isinstance(p, BlendParams):
+        raise ParameterError(f"p must be a BlendParams, got {type(p).__name__}")
     w = p.weight
     return np.where(m[None], (1.0 - w) * x_t + w * x_cond_t, x_t)
 
@@ -85,6 +87,8 @@ def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> n
     """Add gamma-scaled Gaussian noise over the whole latent (no mask).  The
     normal draw is taken at gamma 0 too, so later draws do not depend on gamma."""
     x_mix = check_latent(x_mix, "x_mix")
+    if not isinstance(p, ResidualParams):
+        raise ParameterError(f"p must be a ResidualParams, got {type(p).__name__}")
     return x_mix + p.gamma * check_rng(rng).normal(x_mix.shape)
 
 

@@ -132,13 +132,19 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def dump_config(cfg) -> dict:
+def dump_config(cfg: RunConfig) -> dict:
     """Emit the JSON form; inverse of parse_config for valid configs."""
+    if not isinstance(cfg, RunConfig):
+        raise ConfigError(f"config must be a RunConfig, got {type(cfg).__name__}")
+    return _to_json(cfg)
+
+
+def _to_json(obj) -> dict:
     out = {}
-    for field in dataclasses.fields(cfg):
-        value = getattr(cfg, field.name)
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
         if dataclasses.is_dataclass(value):
-            value = dump_config(value)
+            value = _to_json(value)
         # json cannot encode a numpy scalar, which a config built in Python may hold
         out[_JSON_KEYS.get(field.name, field.name)] = value.item() if isinstance(value, np.generic) else value
     return out

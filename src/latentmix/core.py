@@ -135,30 +135,30 @@ class LatentSequence:
 @dataclasses.dataclass(frozen=True)
 class NoiseSchedule:
     """Variance schedule, held as its cumulative product alpha_bar[t] for
-    t=0..T.
+    t=0..T; the horizon T is read off alpha_bar as len(alpha_bar) - 1.
 
-    alpha_bar[0] == 1, the sequence is strictly decreasing and its last
-    value is positive.  That invariant is equivalent to every implied
-    beta_t = 1 - alpha_bar[t] / alpha_bar[t-1] lying in (0, 1).  The schedule
-    keeps a read-only copy of alpha_bar, so the invariant holds for its life.
+    alpha_bar is a real 1-D array with at least 2 levels, alpha_bar[0] == 1,
+    the sequence is strictly decreasing and its last value is positive.  That
+    invariant is equivalent to every implied beta_t = 1 - alpha_bar[t] /
+    alpha_bar[t-1] lying in (0, 1).  The schedule keeps a read-only copy of
+    alpha_bar, so the invariant holds for its life.
     """
 
-    T: int
     alpha_bar: np.ndarray
+    T: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        T = check_level(self.T, 1, math.inf, "T")
-        ab = np.array(self.alpha_bar, dtype=np.float64)
-        if ab.shape != (T + 1,):
-            raise ParameterError(f"alpha_bar must have shape ({T + 1},), got {ab.shape}")
+        ab = real_array(self.alpha_bar, "alpha_bar").astype(np.float64)
+        if ab.ndim != 1 or len(ab) < 2:
+            raise ParameterError(f"alpha_bar must be 1-D with at least 2 levels, got shape {ab.shape}")
         if ab[0] != 1.0:
             raise ParameterError("alpha_bar[0] must be 1")
         # written so that a nan anywhere fails: every comparison with nan is False
         if not (np.all(np.diff(ab) < 0.0) and ab[-1] > 0.0):
             raise ParameterError("alpha_bar must be strictly decreasing and positive")
         ab.flags.writeable = False
-        object.__setattr__(self, "T", T)
         object.__setattr__(self, "alpha_bar", ab)
+        object.__setattr__(self, "T", len(ab) - 1)
 
 
 def make_schedule(
@@ -184,7 +184,7 @@ def make_schedule(
     else:
         beta = np.linspace(beta_start**0.5, beta_end**0.5, T, dtype=np.float64) ** 2
     alpha_bar = np.concatenate([[1.0], np.cumprod(1.0 - beta)])
-    return NoiseSchedule(T=T, alpha_bar=alpha_bar)
+    return NoiseSchedule(alpha_bar)
 
 
 class RandomSource:
@@ -203,7 +203,10 @@ class RandomSource:
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def child(self, *key: int) -> "RandomSource":
-        """Derive an independent stream keyed by integers >= 0."""
+        """Derive an independent stream keyed by one or more integers >= 0;
+        with no key the path would be the parent's, and so would the stream."""
+        if not key:
+            raise ParameterError("child needs at least one spawn key")
         return RandomSource(self.seed, self.path + key)
 
     def normal(self, shape) -> np.ndarray:

@@ -55,18 +55,19 @@ A MomentumState checks its hyperparameters when it is built and keeps the
 Python floats check_real returns; the state a step hands back carries them
 unchanged, so it is not checked again.
 
-The sweeps (ddim_sample, ddim_invert) run the deterministic eta = 0 map,
-which keeps nothing but the latent and is the same formula in both
-directions.  A hop from level t to t_to, with A and B from t and P from t_to:
-
-    x_to = P*A * x_t + (P*B + sqrt(1 - ab_to)) * eps_hat
-
-Only the level where the denoiser is queried differs: it is always the
-noisier of the two, the source t when sampling down the grid and the target
-t_to when inverting up it.  Both sweeps walk their sub-grid through one loop
-that checks every hop's output and raises NumericError naming the hop.
-Stochastic DDIM is momentum_step with kappa0 = 0 and eta > 0; the sweeps
-have no noise term.
+The sweeps (ddim_sample, ddim_invert) keep nothing but the latent.  A sweep
+hop from level t to t_to is the x_prev row of the map at eta = 0 and
+kappa = 0 over (x_t, eps_hat), with t_to in the place of t_prev: the
+coefficients P*A and P*B + D, exactly, as A + 0*cx and B + 0*ce round to A
+and B.  At kappa = 0, beta and lam reach only the v' row, so a sweep hop
+reads the memoised map at _momentum_map's defaults, and a sweep that walks
+the same grid for every frame pays for each hop once.  The formula is the
+same in both directions.  Only the level where the denoiser is queried
+differs: it is always the noisier of the two, the source t when sampling
+down the grid and the target t_to when inverting up it.  Both sweeps walk
+their sub-grid through one loop that checks every hop's output and raises
+NumericError naming the hop.  Stochastic DDIM is momentum_step with
+kappa0 = 0 and eta > 0; the sweeps have no noise term.
 
 There are still two kernels, one per traffic path.  A sweep hop is three
 elementwise passes over the latent; the step's copy into an operand block
@@ -166,14 +167,11 @@ def kappa_at(t: int, T: int, kappa0: float) -> float:
     return kappa0 * (1.0 - t / T)
 
 
-def _sigma(ab_t: float, ab_prev: float, eta: float) -> float:
-    if eta == 0.0:
-        return 0.0
-    return eta * math.sqrt((1.0 - ab_prev) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_prev)
-
-
 def _predict(denoiser, x_t, t):
-    eps_hat = as_real_array(denoiser.predict_eps(x_t, t), "denoiser output")
+    predict = getattr(denoiser, "predict_eps", None)
+    if not callable(predict):
+        raise ParameterError(f"denoiser must have a callable predict_eps, got {type(denoiser).__name__}")
+    eps_hat = as_real_array(predict(x_t, t), "denoiser output")
     if eps_hat.shape != x_t.shape:
         raise ParameterError(f"denoiser output shape {eps_hat.shape} does not match input {x_t.shape}")
     if not all_finite(eps_hat):
@@ -181,22 +179,18 @@ def _predict(denoiser, x_t, t):
     return eps_hat
 
 
-def _coefficients(ab_t: float, ab_to: float) -> tuple[float, float, float]:
-    """A, B and P for a hop from level t to t_to, given their alpha_bar; the
-    schedule keeps every alpha_bar positive, so A is finite."""
-    a = 1.0 / math.sqrt(ab_t)
-    return a, -math.sqrt(1.0 - ab_t) * a, math.sqrt(ab_to)
-
-
 # one entry per hop of a T = 1000 grid
 @functools.lru_cache(maxsize=1024)
-def _momentum_map(ab_t: float, ab_prev: float, eta: float, beta: float, lam: float, kappa: float):
+def _momentum_map(ab_t: float, ab_prev: float, eta=0.0, beta=0.0, lam=1.0, kappa=0.0):
     """The momentum map of the module docstring for one hop, from Python
-    floats the caller has checked.  Returns the read-only (2, k) matrix over
-    the columns x_t, eps_hat, n (only when sigma_t > 0) and v; sigma_t; and
-    the read-only x0_hat row, which leaves the v column out when kappa is 0."""
-    sigma = _sigma(ab_t, ab_prev, eta)
-    a, b, p = _coefficients(ab_t, ab_prev)
+    floats the caller has checked; the defaults give the sweep hop.  Returns
+    the read-only (2, k) matrix over the columns x_t, eps_hat, n (only when
+    sigma_t > 0) and v; sigma_t; and the read-only x0_hat row, which leaves
+    the v column out when kappa is 0.  The schedule keeps every alpha_bar
+    positive, so A is finite."""
+    sigma = 0.0 if eta == 0.0 else eta * math.sqrt((1.0 - ab_prev) / (1.0 - ab_t)) * math.sqrt(1.0 - ab_t / ab_prev)
+    a = 1.0 / math.sqrt(ab_t)
+    b, p = -math.sqrt(1.0 - ab_t) * a, math.sqrt(ab_prev)
     width = math.sqrt(max(1.0 - ab_prev - sigma * sigma, 0.0))
     w = 1.0 - beta
     cx, ce = w * (1.0 - p * a), w * ((lam - 1.0) * width - p * b)
@@ -233,6 +227,8 @@ def momentum_step(
     modified; the updated velocity comes back in a new MomentumState.
     """
     x_t, s = check_latent(x_t, "x_t"), check_schedule(s)
+    if not isinstance(state, MomentumState):
+        raise ParameterError(f"state must be a MomentumState, got {type(state).__name__}")
     if state.T != s.T:
         raise ParameterError(f"state horizon T={state.T} does not match schedule T={s.T}")
     if state.v.shape != x_t.shape:
@@ -282,10 +278,9 @@ def _sweep(name, x, levels, denoiser, s, traj=None):
     ab = s.alpha_bar
     for k, (src, dst) in enumerate(zip(levels, levels[1:])):
         eps = _predict(denoiser, x, max(src, dst))
-        ab_dst = float(ab[dst])
-        a, b, p = _coefficients(float(ab[src]), ab_dst)
-        x = np.multiply(x, p * a, out=None if traj is None else traj[k + 1])
-        x += np.multiply(eps, p * b + math.sqrt(1.0 - ab_dst))
+        on_x, on_eps, _ = _momentum_map(float(ab[src]), float(ab[dst]))[0][0].tolist()
+        x = np.multiply(x, on_x, out=None if traj is None else traj[k + 1])
+        x += np.multiply(eps, on_eps)
         if not all_finite(x):
             raise NumericError(f"{name} produced non-finite values in the hop {src} -> {dst}")
     return x

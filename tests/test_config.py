@@ -136,8 +136,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("cfg", [None, {}, SamplerConfig()], ids=repr)
     def test_not_a_run_config(self, cfg):
-        with pytest.raises(ConfigError, match="^config must be a RunConfig, got "):
-            validate_config(cfg)
+        # dump_config(None) raised TypeError from dataclasses.fields
+        for take in (validate_config, dump_config):
+            with pytest.raises(ConfigError, match="^config must be a RunConfig, got "):
+                take(cfg)
 
 
 def config_sources(eta, beta_cap):

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -113,7 +114,7 @@ class TestMakeSchedule:
         # the cap guards make_schedule's allocation; a built alpha_bar of
         # any length is a valid schedule
         T = MAX_T + 1
-        s = NoiseSchedule(T=T, alpha_bar=np.linspace(1.0, 0.5, T + 1))
+        s = NoiseSchedule(np.linspace(1.0, 0.5, T + 1))
         assert s.T == T
 
     @settings(max_examples=50, deadline=None)
@@ -135,9 +136,16 @@ class TestMakeSchedule:
 
 class TestNoiseSchedule:
     def test_direct_construction(self):
-        s = NoiseSchedule(T=2, alpha_bar=[1.0, 0.9, 0.81])
+        s = NoiseSchedule([1.0, 0.9, 0.81])
         assert s.alpha_bar.dtype == np.float64
         assert s.alpha_bar.tolist() == [1.0, 0.9, 0.81]
+        assert s.T == 2 and type(s.T) is int
+
+    @pytest.mark.parametrize("alpha_bar", [[1.0, 0.9], [1.0, 0.9, 0.81, 0.7]])
+    def test_horizon_is_read_off_alpha_bar(self, alpha_bar):
+        assert NoiseSchedule(alpha_bar).T == len(alpha_bar) - 1
+        with pytest.raises(TypeError):
+            NoiseSchedule(alpha_bar, T=2)
 
     @pytest.mark.parametrize(
         "alpha_bar",
@@ -151,36 +159,37 @@ class TestNoiseSchedule:
             [np.nan, 0.9, 0.81],
             [1.0, np.nan, 0.81],
             [1.0, 0.9, np.nan],
-            [1.0, 0.9],  # length T
-            [1.0, 0.9, 0.81, 0.7],  # length T + 2
+            np.array(1.0),  # 0-d
+            [[1.0, 0.9, 0.81]],  # 2-D
+            ["1", "0.9"],  # strings: the cast to float64 used to parse them
+            [1.0 + 0j, 0.9 + 0j],  # complex: the cast used to raise TypeError
         ],
     )
     def test_rejects_bad_alpha_bar(self, alpha_bar):
         with pytest.raises(ParameterError):
-            NoiseSchedule(T=2, alpha_bar=alpha_bar)
+            NoiseSchedule(alpha_bar)
 
     def test_rejects_bad_horizon(self):
-        with pytest.raises(ParameterError):
-            NoiseSchedule(T=0, alpha_bar=[1.0])
+        # one level is a horizon of T = 0
+        with pytest.raises(ParameterError, match=r"^alpha_bar must be 1-D with at least 2 levels, got shape \(1,\)$"):
+            NoiseSchedule([1.0])
 
-    @pytest.mark.parametrize("T, alpha_bar", [(2.0, [1.0, 0.9, 0.81]), (True, [1.0, 0.9])])
-    def test_rejects_non_integer_horizon(self, T, alpha_bar):
-        # each alpha_bar has the length T + 1 would give, so only the type check can reject it
-        with pytest.raises(ParameterError, match=r"^T must be an integer, got (2\.0|True)$"):
-            NoiseSchedule(T=T, alpha_bar=alpha_bar)
+    @pytest.mark.parametrize("T", [2.0, True])
+    def test_rejects_non_integer_horizon(self, T):
         with pytest.raises(ParameterError, match=r"^T must be an integer, got (2\.0|True)$"):
             make_schedule(T=T)
 
     def test_alpha_bar_is_a_read_only_copy(self):
         alpha_bar = np.array([1.0, 0.9, 0.81])
-        s = NoiseSchedule(T=2, alpha_bar=alpha_bar)
+        s = NoiseSchedule(alpha_bar)
         with pytest.raises(ValueError, match="read-only"):
             s.alpha_bar[2] = 0.0
         alpha_bar[2] = 0.5  # the caller's array stays writable and unshared
         assert s.alpha_bar.tolist() == [1.0, 0.9, 0.81]
 
     def test_numpy_integer_horizon_accepted(self):
-        s = NoiseSchedule(T=np.int64(2), alpha_bar=[1.0, 0.9, 0.81])
+        s = make_schedule(np.int64(2))
+        assert type(s.T) is int
         x = forward_diffuse(np.ones((1, 2, 2)), s.T, s, RandomSource(0))
         assert np.all(np.isfinite(x))
 
@@ -226,6 +235,11 @@ class TestRandomSource:
         root = RandomSource(7)
         assert root.child(np.int64(1)).path == (1,)
         assert root.child(np.int64(1)).normal((8,)).tobytes() == root.child(1).normal((8,)).tobytes()
+
+    def test_child_needs_a_key(self):
+        # child() with no key returned the parent's own stream
+        with pytest.raises(ParameterError, match="^child needs at least one spawn key$"):
+            RandomSource(5).child()
 
     def test_uniform_range(self):
         u = RandomSource(5).uniform((1000,))
@@ -583,6 +597,46 @@ def test_schedule_must_be_a_noise_schedule(caller, s):
     with pytest.raises(ParameterError, match=f"^s must be a NoiseSchedule, got {type(s).__name__}$"):
         SCHEDULE_CALLERS[caller](s)
     assert np.all(np.isfinite(SCHEDULE_CALLERS[caller](make_schedule(8))))
+
+
+# Each entry point that takes a parameter object, a momentum state or a
+# denoiser, given a value of the wrong type, and the start of its message.
+TYPED_CALLERS = {
+    "blend_region": (
+        lambda v: blend_region(np.ones(RNG_SHAPE), np.zeros(RNG_SHAPE), np.ones(RNG_SHAPE[1:]), v),
+        "p must be a BlendParams",
+    ),
+    "gamma_residual": (lambda v: gamma_residual(np.ones(RNG_SHAPE), v, RandomSource(0)), "p must be a ResidualParams"),
+    "momentum_step-state": (
+        lambda v: momentum_step(np.ones(RNG_SHAPE), 8, RecordingDenoiser(), make_schedule(8), v),
+        "state must be a MomentumState",
+    ),
+    "momentum_step-denoiser": (
+        lambda v: momentum_step(np.ones(RNG_SHAPE), 8, v, make_schedule(8), MomentumState.fresh(RNG_SHAPE, 8)),
+        "denoiser must have a callable predict_eps",
+    ),
+    "ddim_sample": (
+        lambda v: ddim_sample(np.ones(RNG_SHAPE), v, make_schedule(8), steps=2),
+        "denoiser must have a callable predict_eps",
+    ),
+    "ddim_invert": (
+        lambda v: ddim_invert(np.ones(RNG_SHAPE), v, make_schedule(8), steps=2),
+        "denoiser must have a callable predict_eps",
+    ),
+}
+
+
+@pytest.mark.parametrize("caller", TYPED_CALLERS)
+@pytest.mark.parametrize(
+    "value",
+    [None, 2.0, {"gamma": 0.05}, object(), types.SimpleNamespace(predict_eps=None)],
+    ids=["NoneType", "float", "dict", "object", "attribute"],
+)
+def test_typed_arguments_are_checked(caller, value):
+    # each used to end in a bare AttributeError
+    call, message = TYPED_CALLERS[caller]
+    with pytest.raises(ParameterError, match=f"^{message}, got {type(value).__name__}$"):
+        call(value)
 
 
 def test_deterministic_step_leaves_its_rng_unchecked():

@@ -160,7 +160,7 @@ class TestDdimStep:
     def test_sigma_bound_at_eta_one(self, desk_schedule):
         ab = desk_schedule.alpha_bar
         for t in range(2, desk_schedule.T + 1):
-            sig = sampler._sigma(float(ab[t]), float(ab[t - 1]), 1.0)
+            sig = _momentum_map(float(ab[t]), float(ab[t - 1]), 1.0)[1]
             assert sig * sig <= 1.0 - desk_schedule.alpha_bar[t - 1] + 1e-12
 
     def test_t_bounds(self, desk_schedule):
@@ -642,7 +642,7 @@ class TestLinearMap:
                 out = vanilla_step(out, t, den, desk_schedule, eta=eta, rng=rng, t_prev=t_prev).x_prev
         rng, x = RandomSource(83), x_T
         for t, t_prev in hops:
-            z = rng.normal(DESK_SHAPE) if sampler._sigma(float(ab[t]), float(ab[t_prev]), eta) > 0.0 else None
+            z = rng.normal(DESK_SHAPE) if _momentum_map(float(ab[t]), float(ab[t_prev]), eta)[1] > 0.0 else None
             x = reference_step(x, t, t_prev, den.predict_eps(x, t), desk_schedule, eta, z)[0]
         assert np.max(np.abs(out - x)) < self.TOL
 
@@ -663,8 +663,9 @@ class TestLinearMap:
 
 
 class TestPayOncePerHop:
-    """momentum_step builds each hop's map once and carries the checked
-    state forward; these count the work instead of timing it."""
+    """momentum_step and the sweeps build each hop's map once, and the step
+    carries the checked state forward; these count the work instead of
+    timing it."""
 
     def trajectory(self, s, state, passes=1, hops=16):
         den, rng = MixDenoiser(seed=5), RandomSource(90)
@@ -695,6 +696,16 @@ class TestPayOncePerHop:
         self.trajectory(desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T), passes=2)
         info = _momentum_map.cache_info()
         assert (info.misses, info.hits) == (16, 16)
+
+    def test_sweeps_build_each_hop_map_once(self, desk_schedule):
+        # 16 hops up and 16 down, each a direction of its own, for 3 frames
+        den = MixDenoiser(seed=5)
+        _momentum_map.cache_clear()
+        for frame in range(3):
+            traj = ddim_invert(RandomSource(96 + frame).normal(DESK_SHAPE), den, desk_schedule, 16)
+            ddim_sample(traj.frame(16), den, desk_schedule, steps=16)
+        info = _momentum_map.cache_info()
+        assert (info.misses, info.hits) == (32, 64)
 
     def test_numpy_hyperparameters_step_like_python_floats(self, desk_schedule):
         # np.float32(0.5) hashes and compares equal to 0.5, so a map memoised
