@@ -32,8 +32,7 @@ from .core import (
     check_latent,
     check_mask,
     check_real,
-    check_rng,
-    check_schedule,
+    check_type,
 )
 from .errors import ParameterError
 
@@ -77,19 +76,15 @@ def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendP
     if x_cond_t.shape != x_t.shape:
         raise ParameterError(f"conditioned latent shape {x_cond_t.shape} does not match {x_t.shape}")
     m = check_mask(m, x_t.shape[1:])
-    if not isinstance(p, BlendParams):
-        raise ParameterError(f"p must be a BlendParams, got {type(p).__name__}")
-    w = p.weight
+    w = check_type(p, BlendParams, "p").weight
     return np.where(m[None], (1.0 - w) * x_t + w * x_cond_t, x_t)
 
 
 def gamma_residual(x_mix: np.ndarray, p: ResidualParams, rng: RandomSource) -> np.ndarray:
     """Add gamma-scaled Gaussian noise over the whole latent (no mask).  The
     normal draw is taken at gamma 0 too, so later draws do not depend on gamma."""
-    x_mix = check_latent(x_mix, "x_mix")
-    if not isinstance(p, ResidualParams):
-        raise ParameterError(f"p must be a ResidualParams, got {type(p).__name__}")
-    return x_mix + p.gamma * check_rng(rng).normal(x_mix.shape)
+    x_mix, p = check_latent(x_mix, "x_mix"), check_type(p, ResidualParams, "p")
+    return x_mix + p.gamma * check_type(rng, RandomSource, "rng").normal(x_mix.shape)
 
 
 def _circulant(n: int, radius: float) -> np.ndarray:
@@ -130,7 +125,8 @@ def reinit_tail_noise(
     keeps no band: both factors are zero, so the result is fresh + 0.
     """
     cutoff = check_real(cutoff, 0, 0.5, "cutoff")
-    x_recent, s, rng = check_latent(x_recent, "x_recent"), check_schedule(s), check_rng(rng)
+    x_recent, s = check_latent(x_recent, "x_recent"), check_type(s, NoiseSchedule, "s")
+    rng = check_type(rng, RandomSource, "rng")
     diffused = _diffuse(x_recent, s.alpha_bar[s.T], rng)
     fresh = rng.normal(diffused.shape)
     left, right = _band_factors(*diffused.shape[1:], cutoff)

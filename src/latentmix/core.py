@@ -1,10 +1,12 @@
 """Latent containers, noise schedules, the seeded random source, and the
-library's rules: check_level, check_real, check_rng, check_schedule,
+library's rules: check_level, check_real, check_type, check_method,
 real_array, as_real_array, check_latent and check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  All stochastic code draws from RandomSource so that
-a run is a pure function of its seed.
+a run is a pure function of its seed.  The package's value types that hold
+arrays compare and hash by identity (eq=False): numpy's == on two arrays has
+no single truth value.
 """
 
 from __future__ import annotations
@@ -38,11 +40,20 @@ def all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
+def _asarray(x, name: str) -> np.ndarray:
+    """np.asarray(x).  A ragged nested sequence, which numpy refuses with its
+    own ValueError, is rejected as what it would be as an array: dtype object."""
+    try:
+        return np.asarray(x)
+    except ValueError:
+        raise ParameterError(f"{name} must be a real array, got dtype object (a ragged sequence)") from None
+
+
 def real_array(x, name: str) -> np.ndarray:
     """x as an array of bools, integers or reals, not cast.  Complex, string
     and object input is rejected: a cast to float64 would drop an imaginary
     part or raise numpy's own error."""
-    x = np.asarray(x)
+    x = _asarray(x, name)
     if x.dtype.kind not in "biuf":
         raise ParameterError(f"{name} must be a real array, got dtype {x.dtype}")
     return x
@@ -50,7 +61,7 @@ def real_array(x, name: str) -> np.ndarray:
 
 def as_real_array(x, name: str) -> np.ndarray:
     """real_array(x, name) cast to float64; a float64 array is not copied."""
-    x = np.asarray(x)
+    x = _asarray(x, name)
     if x.dtype != _FLOAT64:
         x = real_array(x, name).astype(np.float64)
     return x
@@ -70,7 +81,7 @@ def check_latent(x, name: str = "latent", axes: str = "CHW") -> np.ndarray:
 def check_mask(m, shape: tuple, name: str = "mask") -> np.ndarray:
     """Return m as a new bool array of the given shape, None for any size >= 1.
     Its values are bools, or numbers exactly 0 or 1 (the LTS mask rule)."""
-    m = np.asarray(m)
+    m = _asarray(m, name)
     if m.ndim != len(shape) or 0 in m.shape or any(d not in (None, n) for d, n in zip(shape, m.shape)):
         want = ", ".join("?" if d is None else str(d) for d in shape)
         raise ParameterError(f"{name} must be a nonempty ({want}) array, got shape {m.shape}")
@@ -108,7 +119,27 @@ def check_real(x, lo, hi, name) -> float:
     raise ParameterError(f"{name} must lie in [{lo}, {hi}], got {x}")
 
 
-@dataclasses.dataclass(frozen=True)
+def check_type(x, cls: type, name: str):
+    """Return x if it is a cls, such as a schedule, a parameter object or a
+    state.  Anything else is rejected before it is used, where it would fail
+    with a bare AttributeError or, worse, not fail: a numpy Generator has a
+    .normal too, but reads normal(shape) as normal(loc=shape), so an rng must
+    be a RandomSource."""
+    if isinstance(x, cls):
+        return x
+    raise ParameterError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+
+
+def check_method(obj, attr: str, name: str):
+    """Return obj's attribute attr if it is callable: a denoiser or a
+    segmenter is any object with the one method it is called through."""
+    method = getattr(obj, attr, None)
+    if callable(method):
+        return method
+    raise ParameterError(f"{name} must have a callable {attr}, got {type(obj).__name__}")
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class LatentSequence:
     """Ordered stack of latent frames, shape (F, C, H, W)."""
 
@@ -132,7 +163,7 @@ class LatentSequence:
         return self.data[i]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Variance schedule, held as its cumulative product alpha_bar[t] for
     t=0..T; the horizon T is read off alpha_bar as len(alpha_bar) - 1.
@@ -219,23 +250,6 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, path={self.path})"
 
 
-def check_rng(rng) -> RandomSource:
-    """Return rng if it is a RandomSource.  Anything else is rejected before
-    a draw: a numpy Generator has a .normal too, but reads normal(shape) as
-    normal(loc=shape)."""
-    if isinstance(rng, RandomSource):
-        return rng
-    raise ParameterError(f"rng must be a RandomSource, got {type(rng).__name__}")
-
-
-def check_schedule(s) -> NoiseSchedule:
-    """Return s if it is a NoiseSchedule.  Anything else is rejected before
-    it is used, where it would fail with a bare AttributeError."""
-    if isinstance(s, NoiseSchedule):
-        return s
-    raise ParameterError(f"s must be a NoiseSchedule, got {type(s).__name__}")
-
-
 def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource) -> np.ndarray:
     """Noise a clean latent to level t: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps.
 
@@ -243,8 +257,8 @@ def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource)
     output equals x0 exactly.  The checks are here; the body is _diffuse,
     which blending.reinit_tail_noise also runs on its own checked frame.
     """
-    x0, s = check_latent(x0, "x0"), check_schedule(s)
-    return _diffuse(x0, s.alpha_bar[check_level(t, 0, s.T, "t")], check_rng(rng))
+    x0, s = check_latent(x0, "x0"), check_type(s, NoiseSchedule, "s")
+    return _diffuse(x0, s.alpha_bar[check_level(t, 0, s.T, "t")], check_type(rng, RandomSource, "rng"))
 
 
 def _diffuse(x0: np.ndarray, ab: float, rng: RandomSource) -> np.ndarray:

@@ -7,7 +7,8 @@ ArithmeticError) without importing this module.
 
 class ParameterError(ValueError):
     """An argument violates an operation's precondition: a level that is not
-    an integer in range, a weight that is not a finite number in range."""
+    an integer in range, a weight that is not a finite number in range, an
+    argument of the wrong class."""
 
 
 class DegenerateTrackError(RuntimeError):

@@ -33,7 +33,7 @@ import struct
 
 import numpy as np
 
-from .core import LatentSequence, all_finite, check_mask, real_array
+from .core import LatentSequence, all_finite, check_mask, check_type, real_array
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
@@ -152,7 +152,7 @@ def read_lts(path) -> np.ndarray:
 
 
 def save_sequence(path, seq: LatentSequence) -> None:
-    write_lts(path, seq.data)
+    write_lts(path, check_type(seq, LatentSequence, "seq").data)
 
 
 def load_sequence(path) -> LatentSequence:

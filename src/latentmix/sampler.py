@@ -96,9 +96,9 @@ from .core import (
     as_real_array,
     check_latent,
     check_level,
+    check_method,
     check_real,
-    check_rng,
-    check_schedule,
+    check_type,
 )
 from .errors import NumericError, ParameterError
 
@@ -107,7 +107,7 @@ class Denoiser(Protocol):
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray: ...
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class StepOutput:
     """Result of one reverse step: the emitted latent x_prev and the
     (corrected) x0 estimate x0_hat.
@@ -126,7 +126,7 @@ class StepOutput:
         return (self._x0_row @ self._terms[: len(self._x0_row)]).reshape(self.x_prev.shape)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class MomentumState:
     """Velocity buffer and momentum hyperparameters for one trajectory.
 
@@ -151,6 +151,13 @@ class MomentumState:
 
     @classmethod
     def fresh(cls, shape, T: int, beta: float = 0.9, lam: float = 1.0, kappa0: float = 2.0) -> "MomentumState":
+        """A state with a zero velocity of shape (C, H, W), each entry checked
+        as a count >= 1 before anything is allocated."""
+        try:
+            c, h, w = shape
+        except (TypeError, ValueError):  # not iterable, or not three entries
+            raise ParameterError(f"shape must be a (C, H, W) triple, got {shape!r}") from None
+        shape = tuple(check_level(n, 1, math.inf, f"shape {axis}") for n, axis in zip((c, h, w), "CHW"))
         return cls(v=np.zeros(shape), beta=beta, lam=lam, kappa0=kappa0, T=T)
 
     def _advance(self, v: np.ndarray) -> "MomentumState":
@@ -168,10 +175,7 @@ def kappa_at(t: int, T: int, kappa0: float) -> float:
 
 
 def _predict(denoiser, x_t, t):
-    predict = getattr(denoiser, "predict_eps", None)
-    if not callable(predict):
-        raise ParameterError(f"denoiser must have a callable predict_eps, got {type(denoiser).__name__}")
-    eps_hat = as_real_array(predict(x_t, t), "denoiser output")
+    eps_hat = as_real_array(check_method(denoiser, "predict_eps", "denoiser")(x_t, t), "denoiser output")
     if eps_hat.shape != x_t.shape:
         raise ParameterError(f"denoiser output shape {eps_hat.shape} does not match input {x_t.shape}")
     if not all_finite(eps_hat):
@@ -226,9 +230,8 @@ def momentum_step(
     operands.  With kappa0 = 0 this is the vanilla DDIM step.  state is not
     modified; the updated velocity comes back in a new MomentumState.
     """
-    x_t, s = check_latent(x_t, "x_t"), check_schedule(s)
-    if not isinstance(state, MomentumState):
-        raise ParameterError(f"state must be a MomentumState, got {type(state).__name__}")
+    x_t, s = check_latent(x_t, "x_t"), check_type(s, NoiseSchedule, "s")
+    state = check_type(state, MomentumState, "state")
     if state.T != s.T:
         raise ParameterError(f"state horizon T={state.T} does not match schedule T={s.T}")
     if state.v.shape != x_t.shape:
@@ -237,7 +240,7 @@ def momentum_step(
     t_prev = t - 1 if t_prev is None else check_level(t_prev, 0, t - 1, "t_prev")
     eta = check_real(eta, 0, 1, "eta")
     if eta > 0.0:
-        rng = check_rng(rng)  # eta = 0 draws nothing, so its rng goes unchecked
+        rng = check_type(rng, RandomSource, "rng")  # eta = 0 draws nothing, so its rng goes unchecked
     eps = _predict(denoiser, x_t, t)
     kappa = kappa_at(t, state.T, state.kappa0)
     ab = s.alpha_bar
@@ -265,6 +268,7 @@ def step_grid(T: int, steps: int) -> np.ndarray:
     moves each level by at most 1/2, so consecutive levels differ by at
     least d - 1 > 0 when d > 1, and d = 1 is the exact grid 0, 1, ..., T.
     """
+    T = check_level(T, 1, math.inf, "T")
     steps = check_level(steps, 1, T, "steps")
     return np.rint(np.linspace(0.0, T, steps + 1)).astype(int)
 
@@ -302,7 +306,7 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
     on entry and every hop's output after it, so a blow-up raises
     NumericError naming the hop, and the trajectory is not scanned again.
     """
-    x, s = check_latent(x0, "x0"), check_schedule(s)
+    x, s = check_latent(x0, "x0"), check_type(s, NoiseSchedule, "s")
     grid = step_grid(s.T, steps)
     traj = np.empty((len(grid), *x.shape))
     traj[0] = x
@@ -316,6 +320,6 @@ def ddim_sample(x_T: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: in
 
     x_T is checked on entry and every hop's output after it, so a blow-up
     raises NumericError naming the hop instead of returning inf or nan."""
-    x, s = check_latent(x_T, "x_T"), check_schedule(s)
+    x, s = check_latent(x_T, "x_T"), check_type(s, NoiseSchedule, "s")
     grid = step_grid(s.T, steps if steps is not None else s.T)
     return _sweep("ddim_sample", x, grid[::-1].tolist(), denoiser, s)

@@ -13,12 +13,12 @@ import math
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, check_latent, check_level, check_real, check_schedule
+from .core import LatentSequence, NoiseSchedule, check_latent, check_level, check_real, check_type
 from .errors import ParameterError
 from .tracking import MaskTrack
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class OracleSpec:
     """Target for the analytic denoiser: one clean latent per frame; a
     single target is a bank of one, frames=x0[None]."""
@@ -59,7 +59,7 @@ class _Oracle:
 
 def oracle_denoiser(spec: OracleSpec, s: NoiseSchedule) -> _Oracle:
     """Build the analytic denoiser for a known bank of targets."""
-    return _Oracle(spec.frames, check_schedule(s))
+    return _Oracle(check_type(spec, OracleSpec, "spec").frames, check_type(s, NoiseSchedule, "s"))
 
 
 def moving_square_scene(

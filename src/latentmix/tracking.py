@@ -36,7 +36,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .core import check_latent, check_mask, check_real
+from .core import check_latent, check_mask, check_method, check_real
 from .errors import ParameterError
 
 
@@ -44,7 +44,7 @@ class Segmenter(Protocol):
     def segment(self, x: np.ndarray) -> np.ndarray: ...
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class MaskTrack:
     """Per-frame masks, (F, H, W) bool, stored read-only."""
 
@@ -130,9 +130,7 @@ class OverlapTracker:
 
     def __init__(self, segmenter: Segmenter, tau: float):
         self.tau = check_real(tau, 0, 1, "tau")
-        self._segment = getattr(segmenter, "segment", None)
-        if not callable(self._segment):
-            raise ParameterError(f"segmenter must have a callable segment, got {type(segmenter).__name__}")
+        self._segment = check_method(segmenter, "segment", "segmenter")
         self.masks: list[np.ndarray] = []
         self.linked: list[bool] = []
 

@@ -163,6 +163,7 @@ class TestNoiseSchedule:
             [[1.0, 0.9, 0.81]],  # 2-D
             ["1", "0.9"],  # strings: the cast to float64 used to parse them
             [1.0 + 0j, 0.9 + 0j],  # complex: the cast used to raise TypeError
+            [1.0, [0.9, 0.81]],  # ragged: numpy's own ValueError used to escape
         ],
     )
     def test_rejects_bad_alpha_bar(self, alpha_bar):
@@ -425,12 +426,12 @@ def tracker_mask(m, _):
 def write_lts_mask(m, tmp_path):
     # a bool array is stored as a mask and read back as one; a numeric 0/1
     # array is stored as a latent and read back as 0.0 and 1.0
-    write_lts(tmp_path / "w.lts", np.asarray(m)[None, None])
+    write_lts(tmp_path / "w.lts", [[m]])
     return read_lts(tmp_path / "w.lts")[0, 0] == 1
 
 
 def save_masks_mask(m, tmp_path):
-    save_masks(tmp_path / "m.lts", np.asarray(m)[None])
+    save_masks(tmp_path / "m.lts", [m])
     return load_masks(tmp_path / "m.lts")[0]
 
 
@@ -441,7 +442,7 @@ MASK_CALLERS = {
     "iou_a": lambda m, _: np.array([[iou(m, pixel(i, j)) > 0 for j in range(4)] for i in range(4)]),
     "iou_b": lambda m, _: np.array([[iou(pixel(i, j), m) > 0 for j in range(4)] for i in range(4)]),
     "OverlapTracker.update": tracker_mask,
-    "MaskTrack": lambda m, _: MaskTrack(np.asarray(m)[None]).masks[0],
+    "MaskTrack": lambda m, _: MaskTrack([m]).masks[0],
     "save_masks": save_masks_mask,
     "write_lts": write_lts_mask,
 }
@@ -466,6 +467,7 @@ MASK_CASES = {
     "rank": np.zeros((1, *GRID)),
     "zero_size": np.zeros((0, 4)),
     "off_grid": np.ones((3, 3), dtype=bool),  # for a 4x4 latent
+    "ragged": [[1, 0, 0, 1], [0, 1]],
 }
 ACCEPTED = ("bool", "int", "float")
 # iou's a, MaskTrack and the writers take a mask of any size
@@ -507,7 +509,7 @@ def momentum_step_latent(x, _):
 
 
 def write_lts_latent(x, tmp_path):
-    write_lts(tmp_path / "x.lts", np.asarray(x)[None])
+    write_lts(tmp_path / "x.lts", [x])
     return read_lts(tmp_path / "x.lts")[0]
 
 
@@ -515,8 +517,8 @@ def write_lts_latent(x, tmp_path):
 # x, returns x as the float64 array it acted on.
 LATENT_CALLERS = {
     "momentum_step": momentum_step_latent,
-    "LatentSequence": lambda x, _: LatentSequence(np.asarray(x)[None]).frame(0),
-    "blend_region": lambda x, _: blend_region(x, np.zeros(np.shape(x)), np.zeros(np.shape(x)[1:]), BlendParams()),
+    "LatentSequence": lambda x, _: LatentSequence([x]).frame(0),
+    "blend_region": lambda x, _: blend_region(x, np.zeros((2, 3, 4)), np.zeros((3, 4)), BlendParams()),
     "forward_diffuse": lambda x, _: forward_diffuse(x, 0, make_schedule(8), RandomSource(0)),
     "write_lts": write_lts_latent,
 }
@@ -529,6 +531,7 @@ LATENT_CASES = {
     "string": np.full((2, 3, 4), "a"),
     "objects": np.ones((2, 3, 4), dtype=object),
     "dict": {"a": 1},
+    "ragged": [[[1.0]], [[1.0, 2.0]]],
 }
 ACCEPTED_LATENTS = ("float32", "int")
 
@@ -623,6 +626,9 @@ TYPED_CALLERS = {
         lambda v: ddim_invert(np.ones(RNG_SHAPE), v, make_schedule(8), steps=2),
         "denoiser must have a callable predict_eps",
     ),
+    "oracle_denoiser": (lambda v: oracle_denoiser(v, make_schedule(8)), "spec must be a OracleSpec"),
+    # the check comes before the file is opened, so nothing is written
+    "save_sequence": (lambda v: save_sequence("unwritten.lts", v), "seq must be a LatentSequence"),
 }
 
 
@@ -637,6 +643,29 @@ def test_typed_arguments_are_checked(caller, value):
     call, message = TYPED_CALLERS[caller]
     with pytest.raises(ParameterError, match=f"^{message}, got {type(value).__name__}$"):
         call(value)
+
+
+# Each value type that holds an array, built twice with equal content.
+VALUE_TYPES = {
+    "NoiseSchedule": lambda: make_schedule(8),
+    "LatentSequence": lambda: LatentSequence(np.ones((2, *RNG_SHAPE))),
+    "MomentumState": lambda: MomentumState.fresh(RNG_SHAPE, 8),
+    "StepOutput": lambda: momentum_step(
+        np.ones(RNG_SHAPE), 8, RecordingDenoiser(), make_schedule(8), MomentumState.fresh(RNG_SHAPE, 8)
+    )[0],
+    "MaskTrack": lambda: MaskTrack(np.ones((2, 4, 4), dtype=bool)),
+    "OracleSpec": lambda: OracleSpec(np.ones((2, *RNG_SHAPE))),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_value_types_compare_by_identity(make):
+    # == compared the arrays and raised numpy's ValueError ("truth value of
+    # an array ... is ambiguous"), and hash raised TypeError
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert {a: 1, b: 2}[a] == 1 and hash(a) == hash(a)
 
 
 def test_deterministic_step_leaves_its_rng_unchecked():

@@ -1,7 +1,7 @@
 """Package hygiene: no dead top-level imports, no unreferenced private
 functions or classes, no dangling script entries, declared dependencies
 that match what the package and its tests import, no scipy on the import
-path, and scalar and tensor checks written only in core."""
+path, and scalar, tensor and type checks written only in core."""
 
 import ast
 import importlib
@@ -159,14 +159,14 @@ def test_error_classes_are_raised():
     assert defined - raised == {"DegenerateTrackError"}
 
 
-# the messages of core.check_level, core.check_real and core.check_rng
+# the messages of core.check_level, core.check_real, and core.check_type for an rng
 SCALAR_CHECK_PHRASES = ("must lie in", "must be finite", "must be a number", "must be an integer", "must be a RandomSource")
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_scalar_checks_live_in_core(path):
     """A scalar parameter is checked by check_level or check_real, and an
-    rng by check_rng, so no other module writes one of their messages by
+    rng by check_type, so no other module writes one of their messages by
     hand."""
     text = path.read_text()
     assert [phrase for phrase in SCALAR_CHECK_PHRASES if phrase in text] == []
@@ -182,3 +182,24 @@ def test_tensor_checks_live_in_core(path):
     check_mask, so no other module writes one of their messages by hand."""
     text = path.read_text()
     assert [phrase for phrase in TENSOR_CHECK_PHRASES if phrase in text] == []
+
+
+def hand_written_type_checks(path: Path) -> list[str]:
+    """Lines that raise ParameterError with a message formatting
+    type(...).__name__ or saying "must have a callable": the messages of
+    core.check_type and core.check_method."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "ParameterError"
+        and re.search(r"type\(.*\)\.__name__|must have a callable", ast.unparse(node.exc))
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_type_checks_live_in_core(path):
+    """A wrong-typed argument is rejected by check_type or check_method, so
+    no other module raises ParameterError with one of their messages."""
+    assert hand_written_type_checks(path) == []

@@ -357,6 +357,30 @@ class TestMomentumStep:
         with pytest.raises(ParameterError, match="^momentum beta must be finite, got "):
             MomentumState.fresh(DESK_SHAPE, T=10, beta=bad)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ("abc", "^shape C must be an integer, got 'a'$"),
+            ((2.0, 2, 2), "^shape C must be an integer, got 2.0$"),
+            ((2, True, 2), "^shape H must be an integer, got True$"),
+            ((-1, 2, 2), r"^shape C must lie in \[1, inf\], got -1$"),
+            ((2, 2, 0), r"^shape W must lie in \[1, inf\], got 0$"),
+            (5, r"^shape must be a \(C, H, W\) triple, got 5$"),
+            ((2, 2), r"^shape must be a \(C, H, W\) triple, got \(2, 2\)$"),
+            (None, r"^shape must be a \(C, H, W\) triple, got None$"),
+        ],
+        ids=["str", "float", "bool", "negative", "zero", "int", "pair", "None"],
+    )
+    def test_fresh_checks_each_shape_entry(self, shape, message):
+        # "abc" and (2.0, 2, 2) raised numpy's TypeError, (-1, 2, 2) its ValueError
+        with pytest.raises(ParameterError, match=message):
+            MomentumState.fresh(shape, 8)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), [2, 3, 4], np.array([2, 3, 4])], ids=["tuple", "list", "array"])
+    def test_fresh_takes_any_three_counts(self, shape):
+        v = MomentumState.fresh(shape, 8).v
+        assert type(v) is np.ndarray and v.shape == (2, 3, 4) and not v.any()
+
 
 class TestInversion:
     def test_grid(self):
@@ -368,6 +392,13 @@ class TestInversion:
             step_grid(64, 0)
         with pytest.raises(ParameterError):
             step_grid(64, 100)  # sub-grid would repeat timesteps
+
+    @pytest.mark.parametrize("T", ["8", None, 8.0, True, 0])
+    def test_grid_checks_its_horizon(self, T):
+        # "8" and None raised a bare TypeError from the range check on steps
+        with pytest.raises(ParameterError, match="^T must "):
+            step_grid(T, 2)
+        assert step_grid(np.int64(8), 2).tolist() == [0, 4, 8]
 
     def test_zero_denoiser_rescales(self, desk_schedule):
         x0 = RandomSource(16).normal(DESK_SHAPE)
