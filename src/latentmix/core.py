@@ -85,9 +85,15 @@ def check_mask(m, shape: tuple, name: str = "mask") -> np.ndarray:
     if m.ndim != len(shape) or 0 in m.shape or any(d not in (None, n) for d, n in zip(shape, m.shape)):
         want = ", ".join("?" if d is None else str(d) for d in shape)
         raise ParameterError(f"{name} must be a nonempty ({want}) array, got shape {m.shape}")
-    if m.dtype != bool and (m.dtype.kind not in "iuf" or not np.all((m == 0) | (m == 1))):
-        raise ParameterError(f"{name} values must be exactly 0 or 1")
-    return m.astype(bool)
+    if m.dtype == bool:
+        return m.copy()
+    if m.dtype.kind in "iuf":
+        out = np.equal(m, 1)
+        # each value that is not 0 must be 1: 0.5, 2, -1, inf and nan are
+        # nonzero but not 1, and -0.0 is 0
+        if np.count_nonzero(out) == np.count_nonzero(m):
+            return out
+    raise ParameterError(f"{name} values must be exactly 0 or 1")
 
 
 def check_level(t, lo, hi, name) -> int:

@@ -52,7 +52,9 @@ class _Oracle:
             raise ParameterError(f"x_t has shape {np.shape(x_t)}, the oracle's target {self.x0_star.shape}")
         # eps is undefined at t = 0, where there is no noise to read back
         ab = float(self.s.alpha_bar[check_level(t, 1, self.s.T, "t")])
-        eps = np.subtract(x_t, np.multiply(self.x0_star, math.sqrt(ab)))
+        # one allocation, the result: sqrt(ab) x0*, then x_t minus it in place
+        eps = np.multiply(self.x0_star, math.sqrt(ab))
+        np.subtract(x_t, eps, out=eps)
         eps /= math.sqrt(1.0 - ab)
         return eps
 

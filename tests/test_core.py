@@ -389,11 +389,32 @@ class TestContainers:
 class TestCheckMask:
     @pytest.mark.parametrize(
         "bad",
-        [[[0.0, 0.3]], [[np.nan, 1.0]], [[np.inf, 0.0]], [[2, 1]], [[-1, 0]], [["1", "0"]], [[1j, 0]], np.ones((1, 2), dtype=object)],
+        [
+            [[0.0, 0.3]],
+            [[np.nan, 1.0]],
+            [[np.inf, 0.0]],
+            [[-np.inf, 1.0]],
+            [[2, 1]],
+            [[-1, 0]],
+            [[0.5, 0.5]],
+            [["1", "0"]],
+            [[1j, 0]],
+            np.ones((1, 2), dtype=object),
+        ],
     )
     def test_other_values_rejected(self, bad):
         with pytest.raises(ParameterError, match="^m values must be exactly 0 or 1$"):
             check_mask(bad, (None, None), "m")
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float32, np.float64])
+    def test_values_read_as_bools(self, dtype):
+        m = np.array([[1, 0, 1], [0, 0, 1]], dtype=dtype)
+        out = check_mask(m, (2, 3), "m")
+        assert out.dtype == bool and np.array_equal(out, m == 1)
+        assert not np.shares_memory(out, m)
+
+    def test_negative_zero_is_zero(self):
+        assert np.array_equal(check_mask([[-0.0, 1.0, 0.0]], (1, 3)), [[False, True, False]])
 
     @pytest.mark.parametrize("bad", [None, True, np.zeros(4), np.zeros((1, 2, 2)), np.zeros((0, 2)), np.zeros((3, 3))])
     def test_wrong_shape_rejected(self, bad):

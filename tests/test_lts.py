@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import re
@@ -225,7 +226,7 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 def test_atomic_write_joins_chunks(tmp_path):
     path = tmp_path / "chunks.bin"
-    atomic_write_bytes(path, [b"ab", memoryview(b"cd"), np.arange(2, dtype="<f4")])
+    atomic_write_bytes(path, [b"ab", memoryview(b"cd"), np.arange(2, dtype="<f4")], 12)
     assert path.read_bytes() == b"abcd" + np.arange(2, dtype="<f4").tobytes()
 
 
@@ -233,7 +234,7 @@ def test_atomic_write_failed_chunk_keeps_target(tmp_path):
     path = tmp_path / "target.bin"
     path.write_bytes(b"old")
     with pytest.raises(TypeError):
-        atomic_write_bytes(path, [b"new", object()])  # no buffer: fails mid-write
+        atomic_write_bytes(path, [b"new", object()], 3)  # no buffer: fails mid-write
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["target.bin"]
 
@@ -247,9 +248,76 @@ def test_atomic_write_failed_generator_keeps_target(tmp_path):
         raise RuntimeError("no more chunks")
 
     with pytest.raises(RuntimeError, match="no more chunks"):
-        atomic_write_bytes(path, chunks())
+        atomic_write_bytes(path, chunks(), 3)
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["target.bin"]
+
+
+def test_atomic_write_preallocates_before_writing(tmp_path, monkeypatch):
+    path = tmp_path / "traj.lts"
+    data = np.zeros((3, 4, 5, 6))
+    write_lts(path, data)  # the write replaces an existing file
+    calls = []
+
+    def recorder(fd, offset, size):
+        st = os.fstat(fd)
+        calls.append((st.st_ino, st.st_size, offset, size))
+
+    monkeypatch.setattr(os, "posix_fallocate", recorder, raising=False)
+    write_lts(path, data)
+    size = 24 + 4 * data.size
+    # one call, on the temp file that became path, while it was still empty
+    assert calls == [(os.stat(path).st_ino, 0, 0, size)]
+    assert path.stat().st_size == size
+
+
+@pytest.mark.parametrize("size", [0, 2, 4])
+def test_atomic_write_size_mismatch_keeps_target(tmp_path, size):
+    path = tmp_path / "target.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(ParameterError, match=f"^chunks hold 3 bytes, not the {size} given as size$"):
+        atomic_write_bytes(path, [b"n", b"ew"], size)
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["target.bin"]
+
+
+@pytest.mark.parametrize("size", [3.0, True, "3", -1])
+def test_atomic_write_rejects_bad_size(tmp_path, size):
+    with pytest.raises(ParameterError, match="^size must"):
+        atomic_write_bytes(tmp_path / "x.bin", [b"new"], size)
+    assert os.listdir(tmp_path) == []
+
+
+def failing_allocation(code):
+    def allocate(fd, offset, size):
+        raise OSError(getattr(errno, code), os.strerror(getattr(errno, code)))
+
+    return allocate
+
+
+@pytest.mark.parametrize("code", ["ENOSPC", "EDQUOT"])
+def test_atomic_write_allocation_failure_keeps_target(tmp_path, monkeypatch, code):
+    path = tmp_path / "traj.lts"
+    write_lts(path, np.zeros((2, 1, 2, 2)))
+    old = path.read_bytes()
+    monkeypatch.setattr(os, "posix_fallocate", failing_allocation(code), raising=False)
+    with pytest.raises(OSError) as info:
+        write_lts(path, np.ones((2, 1, 2, 2)))
+    assert info.value.errno == getattr(errno, code)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["traj.lts"]
+
+
+@pytest.mark.parametrize("code", ["EINVAL", "EOPNOTSUPP", None], ids=["EINVAL", "EOPNOTSUPP", "no-posix_fallocate"])
+def test_write_without_preallocation_stores_the_same_bytes(tmp_path, monkeypatch, code):
+    data = RandomSource(13).normal((7, 4, 5, 6))
+    write_lts(tmp_path / "allocated.lts", data)
+    if code is None:  # as on macOS and Windows
+        monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    else:
+        monkeypatch.setattr(os, "posix_fallocate", failing_allocation(code), raising=False)
+    write_lts(tmp_path / "plain.lts", data)
+    assert (tmp_path / "plain.lts").read_bytes() == (tmp_path / "allocated.lts").read_bytes()
 
 
 @pytest.mark.skipif(os.name != "posix", reason="file modes and the umask are POSIX")
@@ -259,7 +327,7 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
     previous = os.umask(umask)
     try:
         write_lts(tmp_path / "x.lts", np.zeros((1, 1, 2, 2)))
-        atomic_write_bytes(tmp_path / "y.bin", [b"y"])
+        atomic_write_bytes(tmp_path / "y.bin", [b"y"], 1)
     finally:
         os.umask(previous)
     for name in ("x.lts", "y.bin"):
@@ -392,10 +460,12 @@ MASK_STACK = (16, 40, 64)  # the bench's mask stack at video scale
 
 
 def test_load_masks_memory_budget(tmp_path):
-    # the bool result and one float32 block; no float64 copy of the stack
+    # the bool result, one float32 block and the one bool block its check
+    # returns; no float64 copy of the stack and no other block-sized temporary
     masks = RandomSource(12).uniform(MASK_STACK) > 0.5
     path = tmp_path / "masks.lts"
     save_masks(path, masks)
     load_masks(path)  # warm-up
     peak = traced_peak(load_masks, path)
-    assert peak <= BLOCK_BYTES + masks.nbytes + SLACK
+    block = ltsio._block((len(masks), 1, *masks.shape[1:])).nbytes
+    assert peak <= masks.nbytes + block + block // 4 + SLACK

@@ -13,7 +13,7 @@ from latentmix.synth import (
 )
 from latentmix.tracking import ThresholdSegmenter, iou
 
-from conftest import DESK_SHAPE
+from conftest import DESK_SHAPE, traced_peak
 
 
 class TestOracle:
@@ -47,6 +47,15 @@ class TestOracle:
         for t in range(1, s.T + 1):
             ab = s.alpha_bar[t]
             assert np.array_equal(den.predict_eps(x_t, t), (x_t - np.sqrt(ab) * x0) / np.sqrt(1.0 - ab))
+
+    def test_allocates_only_its_result(self):
+        # at video scale: the parent's x0* product was a second latent-sized array
+        s = make_schedule()
+        gen = RandomSource(5)
+        x0, x_t = gen.normal((4, 40, 64)), gen.normal((4, 40, 64))
+        den = oracle_denoiser(OracleSpec(frames=x0[None]), s)
+        den.predict_eps(x_t, 500)  # warm-up
+        assert traced_peak(den.predict_eps, x_t, 500) <= x_t.nbytes + 1024
 
     def test_t0_is_domain_error(self, desk_schedule):
         den = oracle_denoiser(OracleSpec(frames=np.zeros((1, *DESK_SHAPE))), desk_schedule)
