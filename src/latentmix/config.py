@@ -2,15 +2,15 @@
 
 Unknown keys are rejected rather than ignored so a typo cannot silently
 fall back to a default.  The accepted keys come from the dataclass fields
-below; only "lambda" (sampler.lam) is renamed.  dump_config(parse_config(x))
-round-trips.
+below; only "lambda" (sampler.lam) is renamed.
 
-A config parse_config accepts is one the library accepts: parse applies
-the library's two rules, core.check_level and core.check_real, so every
-number is finite and bool is never a number.  The schedule is checked by
-building it with make_schedule, so T above MAX_T or an alpha_bar that
-underflows to 0 fails here; every other field lies in the range its
-consumer accepts, sampler.eta in [0, 1] among them.
+A RunConfig checks itself when it is built, by parse_config, by a caller
+or by dataclasses.replace, so every RunConfig is one the library accepts:
+the check applies the library's two rules, core.check_level and
+core.check_real, so every number is finite and bool is never a number.
+The schedule is checked by building it with make_schedule, so T above
+MAX_T or an alpha_bar that underflows to 0 fails here; every other field
+lies in the range its consumer accepts, sampler.eta in [0, 1] among them.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-
-import numpy as np
 
 from .core import DEFAULT_BETA_END, DEFAULT_BETA_START, DEFAULT_T, check_level, check_real, make_schedule
 from .errors import ConfigError, ParameterError
@@ -64,6 +62,30 @@ class RunConfig:
     queue: QueueConfig = dataclasses.field(default_factory=QueueConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            if _is_section(field) and not isinstance(getattr(self, field.name), field.default_factory):
+                raise ConfigError(f"{field.name} must be a {field.type}, got {getattr(self, field.name)!r}")
+        s, sa, inj, q = self.schedule, self.sampler, self.injection, self.queue
+        where = "schedule: "  # make_schedule names T, the betas or alpha_bar, not the section
+        try:
+            make_schedule(s.T, s.beta_start, s.beta_end, s.kind)
+            where = ""
+            check_real(sa.eta, 0, 1, "sampler.eta")
+            check_real(sa.beta, 0, 1, "sampler.beta")
+            check_real(sa.lam, 0, math.inf, "sampler.lambda")
+            check_real(sa.kappa0, 0, math.inf, "sampler.kappa0")
+            check_level(inj.t_prime, 1, s.T - 1, "injection.t_prime")
+            check_real(inj.strength, 0, math.inf, "injection.strength")
+            check_real(inj.gamma_res, 0, math.inf, "injection.gamma_res")
+            check_real(inj.tau, 0, 1, "injection.tau")
+            check_real(inj.cutoff, 0, 0.5, "injection.cutoff")
+            check_level(q.length, 1, s.T, "queue.length")
+            check_level(q.frames, 1, math.inf, "queue.frames")
+            check_level(self.seed, 0, math.inf, "seed")
+        except ParameterError as e:
+            raise ConfigError(f"{where}{e}") from e
+
 
 # dataclass field -> JSON key, where they differ ("lambda" is reserved in Python)
 _JSON_KEYS = {"lam": "lambda"}
@@ -99,52 +121,4 @@ def parse_config(source: str | dict) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(source, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = _from_json(RunConfig, source, "the config root")
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    if not isinstance(cfg, RunConfig):
-        raise ConfigError(f"config must be a RunConfig, got {type(cfg).__name__}")
-    for field in dataclasses.fields(cfg):
-        if _is_section(field) and not isinstance(getattr(cfg, field.name), field.default_factory):
-            raise ConfigError(f"{field.name} must be a {field.type}, got {getattr(cfg, field.name)!r}")
-    s, sa, inj, q = cfg.schedule, cfg.sampler, cfg.injection, cfg.queue
-    where = "schedule: "  # make_schedule names T, the betas or alpha_bar, not the section
-    try:
-        make_schedule(s.T, s.beta_start, s.beta_end, s.kind)
-        where = ""
-        check_real(sa.eta, 0, 1, "sampler.eta")
-        check_real(sa.beta, 0, 1, "sampler.beta")
-        check_real(sa.lam, 0, math.inf, "sampler.lambda")
-        check_real(sa.kappa0, 0, math.inf, "sampler.kappa0")
-        check_level(inj.t_prime, 1, s.T - 1, "injection.t_prime")
-        check_real(inj.strength, 0, math.inf, "injection.strength")
-        check_real(inj.gamma_res, 0, math.inf, "injection.gamma_res")
-        check_real(inj.tau, 0, 1, "injection.tau")
-        check_real(inj.cutoff, 0, 0.5, "injection.cutoff")
-        check_level(q.length, 1, s.T, "queue.length")
-        check_level(q.frames, 1, math.inf, "queue.frames")
-        check_level(cfg.seed, 0, math.inf, "seed")
-    except ParameterError as e:
-        raise ConfigError(f"{where}{e}") from e
-    return cfg
-
-
-def dump_config(cfg: RunConfig) -> dict:
-    """Emit the JSON form; inverse of parse_config for valid configs."""
-    if not isinstance(cfg, RunConfig):
-        raise ConfigError(f"config must be a RunConfig, got {type(cfg).__name__}")
-    return _to_json(cfg)
-
-
-def _to_json(obj) -> dict:
-    out = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        if dataclasses.is_dataclass(value):
-            value = _to_json(value)
-        # json cannot encode a numpy scalar, which a config built in Python may hold
-        out[_JSON_KEYS.get(field.name, field.name)] = value.item() if isinstance(value, np.generic) else value
-    return out
+    return _from_json(RunConfig, source, "the config root")

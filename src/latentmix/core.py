@@ -249,9 +249,6 @@ class RandomSource:
     def normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
 
-    def uniform(self, shape) -> np.ndarray:
-        return self._gen.random(shape)
-
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, path={self.path})"
 

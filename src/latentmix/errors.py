@@ -21,7 +21,7 @@ class NumericError(ArithmeticError):
 
 
 class FormatError(ValueError):
-    """A tensor or embedding file does not match its declared format."""
+    """An LTS file does not match its declared format."""
 
 
 class ConfigError(ValueError):

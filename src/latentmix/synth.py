@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, check_latent, check_level, check_real, check_type
+from .core import LatentSequence, NoiseSchedule, as_real_array, check_latent, check_level, check_real, check_type
 from .errors import ParameterError
 from .tracking import MaskTrack
 
@@ -47,9 +47,11 @@ class _Oracle:
         return _Oracle(self.frames, self.s, min(k, len(self.frames) - 1))
 
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
+        # a string or complex latent is a ParameterError, not numpy's cast error
+        x_t = as_real_array(x_t, "x_t")
         # x_t - sqrt(ab) x0* would broadcast a latent of another shape
-        if np.shape(x_t) != self.x0_star.shape:
-            raise ParameterError(f"x_t has shape {np.shape(x_t)}, the oracle's target {self.x0_star.shape}")
+        if x_t.shape != self.x0_star.shape:
+            raise ParameterError(f"x_t has shape {x_t.shape}, the oracle's target {self.x0_star.shape}")
         # eps is undefined at t = 0, where there is no noise to read back
         ab = float(self.s.alpha_bar[check_level(t, 1, self.s.T, "t")])
         # one allocation, the result: sqrt(ab) x0*, then x_t minus it in place

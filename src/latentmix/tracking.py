@@ -6,10 +6,9 @@ frame independently, then link frame k to frame k-1 by IoU; a frame whose
 overlap does not exceed the threshold keeps the previous frame's mask so one
 bad segmentation cannot yank the region across the scene.  The tracker
 stores each mask read-only and hands that same array back, and a MaskTrack
-keeps its stack read-only, so a caller cannot change a track.  A track is
-degenerate when none of its masks has a pixel.  OverlapTracker is the one
-way to build a track from latents; MaskTrack holds a given stack, such as a
-scene's ground truth.
+keeps its stack read-only, so a caller cannot change a track.
+OverlapTracker is the one way to build a track from latents; MaskTrack
+holds a given stack, such as a scene's ground truth.
 
 The largest 4-connected component is found by a bitset fill over one Python
 int: pixel (r, c) is bit r * (W + 1) + c, and the zero column that pads each
@@ -54,16 +53,6 @@ class MaskTrack:
         masks = check_mask(self.masks, (None, None, None), "mask stack")
         masks.flags.writeable = False  # check_mask returned a new array
         object.__setattr__(self, "masks", masks)
-
-    def __len__(self) -> int:
-        return self.masks.shape[0]
-
-    @property
-    def degenerate(self) -> bool:
-        """True when no frame has a masked pixel.  For a tracker's masks that
-        is its first segmentation coming back empty: a nonempty mask has IoU
-        0 with an empty one, so it is never linked."""
-        return not self.masks.any()
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float:

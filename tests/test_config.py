@@ -13,9 +13,7 @@ from latentmix.config import (
     RunConfig,
     SamplerConfig,
     ScheduleConfig,
-    dump_config,
     parse_config,
-    validate_config,
 )
 from latentmix.blending import BlendParams, ResidualParams, reinit_tail_noise
 from latentmix.core import MAX_T, RandomSource, forward_diffuse, make_schedule
@@ -121,25 +119,38 @@ class TestParse:
                 parse_config(bad)
 
 
+def parse_message(source: dict) -> str:
+    with pytest.raises(ConfigError) as info:
+        parse_config(source)
+    return str(info.value)
+
+
 class TestValidate:
+    """A RunConfig checks itself when built, with parse_config's messages."""
+
     def test_constructed_bools_rejected(self):
-        with pytest.raises(ConfigError):
-            validate_config(RunConfig(seed=True))
-        with pytest.raises(ConfigError):
-            validate_config(RunConfig(schedule=ScheduleConfig(T=True), queue=QueueConfig(length=1)))
-        with pytest.raises(ConfigError):
-            validate_config(RunConfig(sampler=SamplerConfig(eta="0")))
+        for build, source in (
+            (lambda: RunConfig(seed=True), {"seed": True}),
+            (
+                lambda: RunConfig(schedule=ScheduleConfig(T=True), queue=QueueConfig(length=1)),
+                {"schedule": {"T": True}, "queue": {"length": 1}},
+            ),
+            (lambda: RunConfig(sampler=SamplerConfig(eta="0")), {"sampler": {"eta": "0"}}),
+        ):
+            with pytest.raises(ConfigError) as info:
+                build()
+            assert str(info.value) == parse_message(source)
 
     def test_section_type(self):
-        with pytest.raises(ConfigError):
-            validate_config(RunConfig(sampler={"eta": 0.0}))
+        with pytest.raises(ConfigError, match=r"^sampler must be a SamplerConfig, got \{'eta': 0.0\}$"):
+            RunConfig(sampler={"eta": 0.0})
 
-    @pytest.mark.parametrize("cfg", [None, {}, SamplerConfig()], ids=repr)
-    def test_not_a_run_config(self, cfg):
-        # dump_config(None) raised TypeError from dataclasses.fields
-        for take in (validate_config, dump_config):
-            with pytest.raises(ConfigError, match="^config must be a RunConfig, got "):
-                take(cfg)
+    def test_replace_is_checked(self):
+        # dataclasses.replace builds a new RunConfig, so it runs the same check
+        with pytest.raises(ConfigError, match=r"^seed must lie in \[0, inf\], got -1$") as info:
+            dataclasses.replace(parse_config({}), seed=-1)
+        assert str(info.value) == parse_message({"seed": -1})
+        assert dataclasses.replace(parse_config({}), seed=7) == parse_config({"seed": 7})
 
 
 def config_sources(eta, beta_cap):
@@ -190,20 +201,17 @@ def no_underflow(T):
 
 @settings(max_examples=80, deadline=None)
 @given(source=config_sources(st.floats(min_value=0.0, max_value=1.0), no_underflow))
-def test_dump_parse_round_trip(source):
+def test_parse_keeps_every_value(source):
     cfg = parse_config(source)
-    dumped = dump_config(cfg)
-    assert dumped == source
-    assert parse_config(dumped) == cfg
+    for section, values in source.items():
+        if section == "seed":
+            assert cfg.seed == values and type(cfg.seed) is type(values)
+            continue
+        for key, value in values.items():
+            kept = getattr(getattr(cfg, section), "lam" if key == "lambda" else key)
+            assert kept == value and type(kept) is type(value)
     # and through JSON text
-    assert parse_config(json.dumps(dumped)) == cfg
-
-
-def test_numpy_scalars_dump_as_python_numbers():
-    cfg = validate_config(RunConfig(sampler=SamplerConfig(eta=np.float32(0.5)), seed=np.int64(3)))
-    dumped = dump_config(cfg)
-    assert type(dumped["sampler"]["eta"]) is float and type(dumped["seed"]) is int
-    assert parse_config(json.dumps(dumped)) == cfg
+    assert parse_config(json.dumps(source)) == cfg
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,9 +298,3 @@ def test_horizon_capped_at_parse():
     # make_schedule's cap: at T = 1e6 parse used to allocate 33 MB
     with pytest.raises(ConfigError, match=rf"^schedule: T must lie in \[1, {MAX_T}\], got 1000000$"):
         parse_config({"schedule": {"T": 10**6, "beta_start": 1e-6, "beta_end": 1e-6}, "queue": {"length": 2}})
-
-
-def test_dump_keys_follow_fields():
-    dumped = dump_config(RunConfig())
-    assert list(dumped) == [f.name for f in dataclasses.fields(RunConfig)]
-    assert list(dumped["sampler"]) == ["eta", "beta", "lambda", "kappa0"]

@@ -242,10 +242,6 @@ class TestRandomSource:
         with pytest.raises(ParameterError, match="^child needs at least one spawn key$"):
             RandomSource(5).child()
 
-    def test_uniform_range(self):
-        u = RandomSource(5).uniform((1000,))
-        assert np.all((u >= 0.0) & (u < 1.0))
-
 
 class TestForwardDiffuse:
     def test_t0_identity(self, desk_schedule):

@@ -67,7 +67,7 @@ def test_payload_order_is_frame_major(tmp_path):
 
 
 def test_mask_round_trip(tmp_path):
-    masks = RandomSource(9).uniform((5, 8, 8)) > 0.5
+    masks = np.random.default_rng(9).random((5, 8, 8)) > 0.5
     path = tmp_path / "masks.lts"
     save_masks(path, masks)
     assert struct.unpack_from("<4s5I", path.read_bytes())[5] == FLAG_MASK
@@ -75,7 +75,7 @@ def test_mask_round_trip(tmp_path):
 
 
 def test_read_lts_returns_bool_for_a_mask_file(tmp_path):
-    masks = RandomSource(9).uniform((5, 1, 8, 8)) > 0.5
+    masks = np.random.default_rng(9).random((5, 1, 8, 8)) > 0.5
     path = tmp_path / "masks.lts"
     write_lts(path, masks)
     back = read_lts(path)
@@ -462,7 +462,7 @@ MASK_STACK = (16, 40, 64)  # the bench's mask stack at video scale
 def test_load_masks_memory_budget(tmp_path):
     # the bool result, one float32 block and the one bool block its check
     # returns; no float64 copy of the stack and no other block-sized temporary
-    masks = RandomSource(12).uniform(MASK_STACK) > 0.5
+    masks = np.random.default_rng(12).random(MASK_STACK) > 0.5
     path = tmp_path / "masks.lts"
     save_masks(path, masks)
     load_masks(path)  # warm-up

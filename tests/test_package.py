@@ -1,7 +1,8 @@
 """Package hygiene: no dead top-level imports, no unreferenced private
-functions or classes, no dangling script entries, declared dependencies
-that match what the package and its tests import, no scipy on the import
-path, and scalar, tensor and type checks written only in core."""
+functions or classes, no public name that only tests call, no dangling
+script entries, declared dependencies that match what the package and its
+tests import, no scipy on the import path, and scalar, tensor and type
+checks written only in core."""
 
 import ast
 import importlib
@@ -157,6 +158,49 @@ def test_error_classes_are_raised():
                     raised.add(exc.id)
     # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError
     assert defined - raised == {"DegenerateTrackError"}
+
+
+def public_definitions(path: Path) -> set[str]:
+    """Public module-level functions and classes of a module, and the public
+    methods of its classes."""
+    names = set()
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                names.update(
+                    item.name
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+                )
+    return names
+
+
+def referenced_names(paths: list[Path]) -> set[str]:
+    """Every identifier that paths use as a name, an attribute, an imported
+    name or a string constant (check_method takes a method by its name)."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_public_names_have_a_caller():
+    """Every public function, class and method is used by the package or
+    the bench, so no public name is kept alive by its tests alone."""
+    defined = set().union(*(public_definitions(path) for path in MODULES))
+    unreferenced = defined - referenced_names(MODULES + sorted((ROOT / "bench").glob("*.py")))
+    # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError;
+    # iou is the checked public form of the tracker's private link measure _iou
+    assert unreferenced == {"DegenerateTrackError", "iou"}
 
 
 # the messages of core.check_level, core.check_real, and core.check_type for an rng

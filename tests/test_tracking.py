@@ -7,7 +7,7 @@ from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentmix.core import LatentSequence, RandomSource
+from latentmix.core import LatentSequence
 from latentmix import tracking
 from latentmix.errors import ParameterError
 from latentmix.synth import moving_square_scene
@@ -145,11 +145,11 @@ class TestThresholdSegment:
 
     def test_largest_component_matches_flood_fill(self):
         # grids up to the video latent's 40x64, from sparse specks to one blob
-        rng = RandomSource(33)
+        rng = np.random.default_rng(33)
         for trial in range(40):
-            h, w = 1 + int(40 * rng.uniform(())), 1 + int(64 * rng.uniform(()))
+            h, w = 1 + int(40 * rng.random(())), 1 + int(64 * rng.random(()))
             fill = 0.1 + 0.8 * trial / 39
-            noise = rng.uniform((1, h, w))
+            noise = rng.random((1, h, w))
             out = ThresholdSegmenter(1.0 - fill, largest_component=True).segment(noise)
             expect = np.zeros((h, w), dtype=bool)
             comps = flood_fill_components(noise[0] > 1.0 - fill)
@@ -170,9 +170,9 @@ class TestThresholdSegment:
         assert np.array_equal(ThresholdSegmenter(0.5, largest_component=True).segment(x), square_mask(6, 0, 4, 2))
 
     def test_largest_component_matches_sum_labels_rule(self):
-        rng = RandomSource(34)
+        rng = np.random.default_rng(34)
         for trial in range(200):
-            noise = rng.uniform((2, 7, 9))
+            noise = rng.random((2, 7, 9))
             raw = np.mean(noise, axis=0) > 0.5
             labels, count = ndimage.label(raw)
             expect = raw
@@ -340,8 +340,8 @@ class TestTrackMasks:
         # links (IoU 1/7 with frame 1) and frames 3 and 4 share no pixel
         # with it; at tau 0.25 frame 2 keeps frame 1's mask, which frame 3
         # overlaps with IoU 1/3, and frame 4 repeats frame 3.
-        rng = RandomSource(85)
-        frames = [square_mask(6, int(3 * u), int(3 * v), 2) for u, v in rng.uniform((5, 2))]
+        rng = np.random.default_rng(85)
+        frames = [square_mask(6, int(3 * u), int(3 * v), 2) for u, v in rng.random((5, 2))]
         seq = scene_from_masks(frames)
         lo = track(seq, ThresholdSegmenter(0.5), tau=0.0)
         hi = track(seq, ThresholdSegmenter(0.5), tau=0.25)
@@ -375,14 +375,3 @@ class TestMaskTrack:
                 masks_track.masks[:] = False
             assert masks_track.masks.any()
         assert given.flags.writeable  # the caller's array is not frozen
-
-    def test_degenerate_is_read_off_the_masks(self):
-        empty = np.zeros((3, 4, 4), dtype=bool)
-        enters_later = empty.copy()
-        enters_later[2, 1, 1] = True
-        assert MaskTrack(masks=empty).degenerate
-        # a ground-truth object that enters at frame 2 is not a degenerate track
-        assert not MaskTrack(masks=enters_later).degenerate
-        with pytest.raises(TypeError):
-            MaskTrack(masks=enters_later, degenerate=True)
-
