@@ -55,14 +55,9 @@ class MaskTrack:
         object.__setattr__(self, "masks", masks)
 
 
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union; two empty masks count as identical (1.0)."""
-    a = check_mask(a, (None, None), "a")
-    return _iou(a, check_mask(b, a.shape, "b"))
-
-
 def _iou(a: np.ndarray, b: np.ndarray) -> float:
-    """iou of two checked bool masks of one shape."""
+    """Intersection over union of two bool masks; two empty masks count as
+    identical (1.0).  The caller checks both masks and their shapes."""
     union = np.logical_or(a, b).sum()
     if union == 0:
         return 1.0

@@ -24,7 +24,7 @@ from latentmix.errors import ParameterError
 from latentmix.ltsio import load_masks, load_sequence, read_lts, save_masks, save_sequence, write_lts
 from latentmix.sampler import MomentumState, ddim_invert, ddim_sample, momentum_step
 from latentmix.synth import OracleSpec, oracle_denoiser
-from latentmix.tracking import MaskTrack, OverlapTracker, iou
+from latentmix.tracking import MaskTrack, OverlapTracker
 
 from conftest import traced_peak
 
@@ -422,12 +422,6 @@ GRID = (4, 4)
 REF_MASK = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0], [1, 1, 0, 0]], dtype=bool)
 
 
-def pixel(i, j):
-    m = np.zeros(GRID, dtype=bool)
-    m[i, j] = True
-    return m
-
-
 class FixedSegmenter:
     def __init__(self, m):
         self.m = m
@@ -453,11 +447,9 @@ def save_masks_mask(m, tmp_path):
 
 
 # Each caller of check_mask, given a mask m for a latent on GRID, returns the
-# bool mask it acted on; iou's reads m back pixel by pixel.
+# bool mask it acted on.
 MASK_CALLERS = {
     "blend_region": lambda m, _: blend_region(np.zeros((1, *GRID)), np.ones((1, *GRID)), m, BlendParams())[0] == 1.0,
-    "iou_a": lambda m, _: np.array([[iou(m, pixel(i, j)) > 0 for j in range(4)] for i in range(4)]),
-    "iou_b": lambda m, _: np.array([[iou(pixel(i, j), m) > 0 for j in range(4)] for i in range(4)]),
     "OverlapTracker.update": tracker_mask,
     "MaskTrack": lambda m, _: MaskTrack([m]).masks[0],
     "save_masks": save_masks_mask,
@@ -487,8 +479,8 @@ MASK_CASES = {
     "ragged": [[1, 0, 0, 1], [0, 1]],
 }
 ACCEPTED = ("bool", "int", "float")
-# iou's a, MaskTrack and the writers take a mask of any size
-ON_ANY_GRID = ("iou_a", "MaskTrack", "save_masks", "write_lts")
+# MaskTrack and the writers take a mask of any size
+ON_ANY_GRID = ("MaskTrack", "save_masks", "write_lts")
 # write_lts stores a numeric array as a latent, so 0.3 and 2 are latent
 # values to it; save_masks is the writer that holds a numeric stack to 0 or 1
 LATENT_VALUES_TO_WRITE_LTS = ("soft", "two")

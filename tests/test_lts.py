@@ -281,6 +281,27 @@ def test_atomic_write_size_mismatch_keeps_target(tmp_path, size):
     assert os.listdir(tmp_path) == ["target.bin"]
 
 
+def test_atomic_write_failed_cleanup_keeps_the_chunk_error(tmp_path, monkeypatch):
+    path = tmp_path / "target.bin"
+    path.write_bytes(b"old")
+    unlinked = []
+
+    def failing_unlink(name):
+        unlinked.append(name)
+        raise OSError(errno.EACCES, "unlink refused")
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("no more chunks")
+
+    monkeypatch.setattr(ltsio.os, "unlink", failing_unlink)
+    with pytest.raises(RuntimeError, match="no more chunks"):
+        atomic_write_bytes(path, chunks(), 3)
+    assert path.read_bytes() == b"old"
+    # the temp file the failed unlink left behind is the only other file
+    assert [os.path.basename(name) for name in unlinked] == sorted(set(os.listdir(tmp_path)) - {"target.bin"})
+
+
 @pytest.mark.parametrize("size", [3.0, True, "3", -1])
 def test_atomic_write_rejects_bad_size(tmp_path, size):
     with pytest.raises(ParameterError, match="^size must"):
@@ -370,6 +391,17 @@ def test_read_checks_size_before_allocating(tmp_path):
             read_lts(path)
 
     assert traced_peak(read) < 1 << 20
+
+
+def test_read_rejects_degenerate_dimensions(tmp_path, monkeypatch):
+    # a zero dimension passes the payload size check with no payload, so the
+    # dimensions are checked first; no array is made before the header is
+    # rejected, which taking numpy away from the module shows
+    path = tmp_path / "empty.lts"
+    path.write_bytes(struct.pack("<4s5I", b"LTS1", 0, 1, 2, 2, 0))
+    monkeypatch.setattr(ltsio, "np", None)
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: degenerate dimensions \(0, 1, 2, 2\)$"):
+        read_lts(path)
 
 
 def test_short_read_is_a_format_error(tmp_path, monkeypatch):

@@ -198,9 +198,8 @@ def test_public_names_have_a_caller():
     the bench, so no public name is kept alive by its tests alone."""
     defined = set().union(*(public_definitions(path) for path in MODULES))
     unreferenced = defined - referenced_names(MODULES + sorted((ROOT / "bench").glob("*.py")))
-    # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError;
-    # iou is the checked public form of the tracker's private link measure _iou
-    assert unreferenced == {"DegenerateTrackError", "iou"}
+    # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError
+    assert unreferenced == {"DegenerateTrackError"}
 
 
 # the messages of core.check_level, core.check_real, and core.check_type for an rng

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from latentmix.blending import BlendParams, ResidualParams, reinit_tail_noise
 from latentmix.core import RandomSource, check_latent, forward_diffuse, make_schedule
 from latentmix.errors import NumericError, ParameterError
 from latentmix import sampler
+from latentmix.ltsio import read_lts
 from latentmix.sampler import (
     MomentumState,
     _momentum_map,
@@ -551,7 +553,8 @@ REALS_WITHOUT_ZERO = {"make_schedule-beta_start", "make_schedule-beta_end"}
 @pytest.mark.parametrize("name", REAL_CALLS)
 def test_reals_are_numbers(desk_schedule, name):
     # True would pass a range check as 1 and a str or None would fail the
-    # comparison with a bare TypeError; nan and inf fail every range
+    # comparison with a bare TypeError; nan, inf and an int too large for a
+    # float fail every range
     call = REAL_CALLS[name]
     for value, message in [
         (True, "must be a number"),
@@ -562,6 +565,7 @@ def test_reals_are_numbers(desk_schedule, name):
         (np.nan, "must be finite"),
         (np.inf, "must be finite"),
         (-np.inf, "must be finite"),
+        (10**400, f"must be finite, got {10**400}$"),
     ]:
         with pytest.raises(ParameterError, match=message):
             call(desk_schedule, value, NoCallDenoiser())
@@ -866,6 +870,22 @@ class TestFiniteness:
             with pytest.raises(ParameterError, match="^denoiser output must be a real array, got dtype "):
                 call()
 
+    def test_denoiser_output_must_keep_the_shape(self, desk_schedule):
+        class Cropping:
+            def predict_eps(self, x_t, t):
+                return np.zeros_like(x_t[:-1])
+
+        x = RandomSource(85).normal(DESK_SHAPE)
+        state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T)
+        message = r"^denoiser output shape \(3, 8, 8\) does not match input \(4, 8, 8\)$"
+        for call in (
+            lambda: momentum_step(x, 5, Cropping(), desk_schedule, state),
+            lambda: ddim_sample(x, Cropping(), desk_schedule, steps=4),
+            lambda: ddim_invert(x, Cropping(), desk_schedule, 4),
+        ):
+            with pytest.raises(ParameterError, match=message):
+                call()
+
     @pytest.mark.parametrize("steps, hop", [(1, "64 -> 0"), (4, "48 -> 32")])
     def test_ddim_sample_overflow_names_its_hop(self, desk_schedule, steps, hop):
         # with a zero eps each hop scales x by sqrt(ab_prev / ab_t), so the
@@ -901,7 +921,9 @@ GOLDEN_DIGEST = "57e4af4ffd7a2a931c31c5e966f632296f93af671461c61d985dc85ab4c07cf
 def golden_run(s):
     """A seeded run through every public sweep: a momentum_step trajectory
     (eta 0.5, kappa0 2), ddim_sample and ddim_invert (16 steps).
-    Returns the sha256 of every latent, estimate and velocity it emits."""
+    Returns the sha256 of every latent, estimate and velocity it emits, and
+    its three final latents stacked (3, C, H, W): the last momentum latent,
+    the ddim_sample output and the ddim_invert terminal latent."""
     den = MixDenoiser(seed=8)
     rng = RandomSource(2506)
     h = hashlib.sha256()
@@ -912,9 +934,11 @@ def golden_run(s):
         for a in (out.x_prev, out.x0_hat, state.v):
             h.update(a.tobytes())
         x = out.x_prev
-    h.update(ddim_sample(rng.normal(DESK_SHAPE), den, s).tobytes())
-    h.update(ddim_invert(x, den, s, 16).data.tobytes())
-    return h.hexdigest()
+    sampled = ddim_sample(rng.normal(DESK_SHAPE), den, s)
+    h.update(sampled.tobytes())
+    inverted = ddim_invert(x, den, s, 16).data
+    h.update(inverted.tobytes())
+    return h.hexdigest(), np.stack([x, sampled, inverted[-1]])
 
 
 @pytest.mark.skipif(
@@ -922,7 +946,44 @@ def golden_run(s):
     reason=f"golden digest recorded with numpy {GOLDEN_NUMPY}; normal draws differ across numpy releases",
 )
 def test_golden_digest(desk_schedule):
-    assert golden_run(desk_schedule) == GOLDEN_DIGEST
+    assert golden_run(desk_schedule)[0] == GOLDEN_DIGEST
+
+
+# golden_run's three final latents, written with ltsio.write_lts under numpy
+# 2.4.6.  To rewrite it, from tests/:
+#   PYTHONPATH=../src python -c "from conftest import DESK_T; \
+#   from latentmix.core import make_schedule; from latentmix.ltsio import write_lts; \
+#   from test_sampler import golden_run; \
+#   write_lts('data/golden_desk.lts', golden_run(make_schedule(DESK_T, 0.02, 0.25, 'linear'))[1])"
+GOLDEN_LATENTS = Path(__file__).parent / "data" / "golden_desk.lts"
+# Storing a value as float32 moves it by up to 2**-24 of itself, so of the
+# latent's max |value|; the bound is four times that.  Rounding every
+# denoiser output, step latent and velocity of the run differently by up to
+# 16 ulp (a stand-in for another BLAS summation order or libm) moved the
+# final latents by at most 2**-43 of their max, so the margin is for the
+# float32 storage, not for drift.
+GOLDEN_TOLERANCE = 2.0**-22
+# The first normals of RandomSource(2506), which draws golden_run's start
+# latent and step noise, and of RandomSource(8), which draws MixDenoiser's
+# weights, under numpy 2.4.6.
+PINNED_NORMALS = {
+    2506: [-0.1018553344758439, -1.4352422568397405, 0.5825772558084453, 0.841651596672698],
+    8: [-1.738266398496882, -1.3366427931811324, -1.361106708564987, -0.35161713127840977],
+}
+
+
+def test_golden_latents_match_reference(desk_schedule):
+    """golden_run's final latents match the reference file within
+    GOLDEN_TOLERANCE of each latent's max |value|, on any numpy and BLAS
+    whose normal stream is the one the file was written with."""
+    for seed, pinned in PINNED_NORMALS.items():
+        if RandomSource(seed).normal(len(pinned)).tolist() != pinned:
+            pytest.skip(f"the normal stream changed: RandomSource({seed}) draws other values than at numpy 2.4.6")
+    finals = golden_run(desk_schedule)[1]
+    reference = read_lts(GOLDEN_LATENTS)
+    assert reference.shape == finals.shape
+    for name, got, want in zip(("momentum_step", "ddim_sample", "ddim_invert"), finals, reference):
+        assert np.max(np.abs(got - want)) <= GOLDEN_TOLERANCE * np.max(np.abs(want)), name
 
 
 def poison(x, bad):

@@ -11,7 +11,7 @@ from latentmix.synth import (
     oracle_denoiser,
     patch_embedding_proxy,
 )
-from latentmix.tracking import ThresholdSegmenter, iou
+from latentmix.tracking import ThresholdSegmenter, _iou
 
 from conftest import DESK_SHAPE, traced_peak
 
@@ -136,7 +136,7 @@ class TestMovingSquareScene:
     def test_adjacent_iou_half(self):
         # 3x3 square moving 1 px: overlap 6, union 12
         _, track = moving_square_scene(4, 8, 3, (1, 0))
-        assert abs(iou(track.masks[0], track.masks[1]) - 0.5) < 1e-15
+        assert abs(_iou(track.masks[0], track.masks[1]) - 0.5) < 1e-15
 
     def test_zero_velocity_static(self):
         seq, track = moving_square_scene(5, 8, 3, (0, 0))
