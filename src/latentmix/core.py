@@ -1,6 +1,6 @@
 """Latent containers, noise schedules, the seeded random source, and the
 library's rules: check_level, check_real, check_type, check_method,
-real_array, as_real_array, check_latent and check_mask.
+as_real_array, check_latent and check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  All stochastic code draws from RandomSource so that
@@ -49,21 +49,15 @@ def _asarray(x, name: str) -> np.ndarray:
         raise ParameterError(f"{name} must be a real array, got dtype object (a ragged sequence)") from None
 
 
-def real_array(x, name: str) -> np.ndarray:
-    """x as an array of bools, integers or reals, not cast.  Complex, string
-    and object input is rejected: a cast to float64 would drop an imaginary
-    part or raise numpy's own error."""
-    x = _asarray(x, name)
-    if x.dtype.kind not in "biuf":
-        raise ParameterError(f"{name} must be a real array, got dtype {x.dtype}")
-    return x
-
-
 def as_real_array(x, name: str) -> np.ndarray:
-    """real_array(x, name) cast to float64; a float64 array is not copied."""
+    """x as a float64 array; a float64 array is not copied.  Bools, integers
+    and reals are cast.  Complex, string and object input is rejected: the
+    cast would drop an imaginary part or raise numpy's own error."""
     x = _asarray(x, name)
     if x.dtype != _FLOAT64:
-        x = real_array(x, name).astype(np.float64)
+        if x.dtype.kind not in "biuf":
+            raise ParameterError(f"{name} must be a real array, got dtype {x.dtype}")
+        x = x.astype(np.float64)
     return x
 
 
@@ -185,7 +179,7 @@ class NoiseSchedule:
     T: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        ab = real_array(self.alpha_bar, "alpha_bar").astype(np.float64)
+        ab = as_real_array(self.alpha_bar, "alpha_bar").copy()
         if ab.ndim != 1 or len(ab) < 2:
             raise ParameterError(f"alpha_bar must be 1-D with at least 2 levels, got shape {ab.shape}")
         if ab[0] != 1.0:

@@ -4,9 +4,11 @@ Layout: magic "LTS1", then five little-endian u32 (F, C, H, W, flags), then
 F*C*H*W float32 little-endian values in frame-major, channel, row, column
 order.  Flag bit 0 marks a mask payload, and no other bit is defined.
 
-The payload's kind is its array's dtype, so no caller passes flags: write_lts
-stores a bool (F, 1, H, W) array as a mask, flag bit 0 set, and any other real
-array as a latent, flags 0.  read_lts gives a mask file back as a bool (F, 1,
+The payload's kind is its array's dtype, so no caller passes flags.  write_lts
+takes in two kinds: a bool (F, 1, H, W) array is a mask, flag bit 0 set, and
+any other real array is a latent, flags 0, cast once to float64 by
+core.as_real_array (a float64 array, as save_sequence passes, is not copied).
+Either is stored as float32.  read_lts gives a mask file back as a bool (F, 1,
 H, W) array and any other file as float64.  Each payload goes through one
 rule, once, block by block.  A latent block is scanned for inf and nan as
 stored, on write and on read.  A bool payload needs no scan on write; on read,
@@ -26,9 +28,9 @@ host, ext4 with default mount options).
 The payload moves through one float32 block of whole frames, BLOCK_BYTES or
 one frame, whichever is larger: write_lts casts, scans and writes it block by
 block, and read_lts reads, checks and converts it block by block into its
-result.  So besides its input or its result, a call holds at most one block,
-max(256 KB, one frame), and its check's temporaries; an int64, uint64 or
-longdouble payload also holds that block cast to float64.
+result.  So besides its input, cast to float64 when it is a latent, or its
+result, a call holds at most one block, max(256 KB, one frame), and its
+check's temporaries.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import struct
 
 import numpy as np
 
-from .core import LatentSequence, all_finite, check_level, check_mask, check_type, real_array
+from .core import LatentSequence, _asarray, all_finite, as_real_array, check_level, check_mask, check_type
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
@@ -109,19 +111,13 @@ def _block(shape: tuple) -> np.ndarray:
 
 
 def _encoded(data: np.ndarray):
-    """Yield data's stored float32 values through one reused block, each
-    block cast and scanned before it is handed on."""
+    """Yield the stored float32 values of a float64 or bool array through one
+    reused block, each block cast and scanned before it is handed on."""
     block = _block(data.shape)
-    # Stored values are data cast to float64, then to float32.  The first
-    # cast is exact for float64 and for any dtype of 4 bytes or less (bool
-    # masks included), which are cast straight to float32; int64, uint64
-    # and longdouble blocks round to float64 first.
-    exact = data.dtype.itemsize <= 4 or data.dtype.kind == "f" and data.dtype.itemsize == 8
     for i in range(0, len(data), len(block)):
         out = block[: len(data) - i]
-        rows = data[i : i + len(out)]
         with np.errstate(over="ignore"):
-            np.copyto(out, rows if exact else rows.astype(np.float64), casting="unsafe")
+            np.copyto(out, data[i : i + len(out)], casting="unsafe")
         # Check what is stored: a finite float64 beyond the float32 range
         # is stored as inf, which read_lts rejects.  A bool block is all
         # 0.0 and 1.0, so it needs no scan.
@@ -132,9 +128,11 @@ def _encoded(data: np.ndarray):
 
 def write_lts(path, data: np.ndarray) -> None:
     """Serialize a (F, C, H, W) real array; payload is stored as float32.  A
-    bool array is a mask payload, (F, 1, H, W), and is flagged FLAG_MASK."""
-    data = real_array(data, "LTS payload")
+    bool array is a mask payload, (F, 1, H, W), and is flagged FLAG_MASK;
+    any other is a latent payload, taken in as float64."""
+    data = _asarray(data, "LTS payload")
     flags = FLAG_MASK if data.dtype == bool else 0
+    data = data if flags else as_real_array(data, "LTS payload")
     if data.ndim != 4 or min(data.shape) < 1 or flags and data.shape[1] != 1:
         raise ParameterError(f"LTS payload must be (F, {1 if flags else 'C'}, H, W), got shape {data.shape}")
     header = _HEADER.pack(MAGIC, *data.shape, flags)

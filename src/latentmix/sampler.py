@@ -178,8 +178,10 @@ def kappa_at(t: int, T: int, kappa0: float) -> float:
     return kappa0 * (1.0 - t / T)
 
 
-def _predict(denoiser, x_t, t):
-    eps_hat = as_real_array(check_method(denoiser, "predict_eps", "denoiser")(x_t, t), "denoiser output")
+def _predict(predict_eps, x_t, t):
+    """predict_eps(x_t, t), the method check_method returned, checked as
+    the denoiser output: real, of x_t's shape and finite."""
+    eps_hat = as_real_array(predict_eps(x_t, t), "denoiser output")
     if eps_hat.shape != x_t.shape:
         raise ParameterError(f"denoiser output shape {eps_hat.shape} does not match input {x_t.shape}")
     if not all_finite(eps_hat):
@@ -245,7 +247,7 @@ def momentum_step(
     eta = check_real(eta, 0, 1, "eta")
     if eta > 0.0:
         rng = check_type(rng, RandomSource, "rng")  # eta = 0 draws nothing, so its rng goes unchecked
-    eps = _predict(denoiser, x_t, t)
+    eps = _predict(check_method(denoiser, "predict_eps", "denoiser"), x_t, t)
     kappa = kappa_at(t, state.T, state.kappa0)
     ab = s.alpha_bar
     coef, sigma, x0_row = _momentum_map(float(ab[t]), float(ab[t_prev]), eta, state.beta, state.lam, kappa)
@@ -281,11 +283,12 @@ def _sweep(name, x, levels, denoiser, s, traj=None):
     """Carry x between consecutive levels by the eta = 0 map of the module
     docstring, querying the denoiser at the noisier level of each hop, and
     return the last latent.  With traj, hop k writes into traj[k + 1].
-    Every hop's output is checked finite.  eps_hat is read, never written:
-    a denoiser may hand back an array it keeps."""
-    ab = s.alpha_bar
+    The denoiser's method is looked up once per sweep, and every hop's
+    output is checked finite.  eps_hat is read, never written: a denoiser
+    may hand back an array it keeps."""
+    ab, predict_eps = s.alpha_bar, check_method(denoiser, "predict_eps", "denoiser")
     for k, (src, dst) in enumerate(zip(levels, levels[1:])):
-        eps = _predict(denoiser, x, max(src, dst))
+        eps = _predict(predict_eps, x, max(src, dst))
         on_x, on_eps, _ = _momentum_map(float(ab[src]), float(ab[dst]))[0][0].tolist()
         x = np.multiply(x, on_x, out=None if traj is None else traj[k + 1])
         x += np.multiply(eps, on_eps)

@@ -215,6 +215,7 @@ class TestRandomSource:
         assert c1.tobytes() == c2.tobytes()
         other = root.child(0, 4).normal((32,))
         assert not np.array_equal(c1, other)
+        assert repr(root.child(0, 3)) == "RandomSource(seed=7, path=(0, 3))"
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ParameterError):

@@ -726,6 +726,23 @@ class TestPayOncePerHop:
         self.trajectory(desk_schedule, state)
         assert calls == ["eta"] * 16
 
+    def test_denoiser_method_is_looked_up_once_per_call(self, desk_schedule, monkeypatch):
+        # once per momentum_step, and once per sweep, not once per hop
+        calls, check_method = [], sampler.check_method
+
+        def counting(obj, attr, name):
+            calls.append(attr)
+            return check_method(obj, attr, name)
+
+        monkeypatch.setattr(sampler, "check_method", counting)
+        den, x = MixDenoiser(seed=5), RandomSource(92).normal(DESK_SHAPE)
+        traj = ddim_invert(x, den, desk_schedule, 16)
+        assert calls == ["predict_eps"]
+        ddim_sample(traj.frame(16), den, desk_schedule, steps=16)
+        assert calls == ["predict_eps"] * 2
+        self.trajectory(desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T))
+        assert calls == ["predict_eps"] * (2 + 16)
+
     def test_map_is_built_once_per_hop(self, desk_schedule):
         _momentum_map.cache_clear()
         self.trajectory(desk_schedule, MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T), passes=2)

@@ -7,7 +7,7 @@ from scipy import ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentmix.core import LatentSequence
+from latentmix.core import LatentSequence, RandomSource
 from latentmix import tracking
 from latentmix.errors import ParameterError
 from latentmix.synth import moving_square_scene
@@ -216,6 +216,48 @@ class TestThresholdSegment:
         x[0, 3, 3 : 3 + len(bad)] = bad
         with pytest.raises(ParameterError, match="^x contains non-finite values$"):
             ThresholdSegmenter(0.5).segment(x)
+
+
+# 12 frames of a side-12 square moving (2, 1) px a frame over a 40x40 grid,
+# 4 channels: the truth for the segmentation table of ROADMAP item 14
+SCENE_MASKS = moving_square_scene(12, 40, 12, (2, 1), 4)[1].masks
+
+
+def segment_noisy_scene(value, background, sigma, masks=SCENE_MASKS):
+    """The masks that theta = 0.5 segments from frames drawn at value inside
+    masks and at background outside, in every channel, plus seeded normals
+    of width sigma."""
+    frames = np.where(masks[:, None], value, background) + sigma * RandomSource(14).normal((len(masks), 4, 40, 40))
+    return [ThresholdSegmenter(0.5, largest_component=True).segment(x) for x in frames]
+
+
+ITEM_14 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 14: theta = 0.5 is an absolute threshold tuned to the bench's square",
+)
+
+
+@pytest.mark.parametrize(
+    "value, background, sigma",
+    [
+        (1.0, 0.0, 0.05),
+        (1.0, 0.0, 0.3),
+        pytest.param(0.3, 0.0, 0.05, marks=ITEM_14, id="dim"),
+        pytest.param(0.4, 0.0, 0.1, marks=ITEM_14, id="dim-noisy"),
+        pytest.param(1.0, 0.6, 0.05, marks=ITEM_14, id="lit-background"),
+        pytest.param(3.0, 0.6, 0.05, marks=ITEM_14, id="bright-on-lit-background"),
+    ],
+)
+def test_segmenter_finds_the_square(value, background, sigma):
+    """Mean IoU with the truth; theta = 0.5 scores 1.000 and 0.999 on the
+    plain cases, 0.000, 0.007 and 0.090 on the others."""
+    segments = segment_noisy_scene(value, background, sigma)
+    assert np.mean([tracking._iou(m, t) for m, t in zip(segments, SCENE_MASKS)]) >= 0.95
+
+
+def test_object_free_frame_gives_an_empty_mask():
+    assert not segment_noisy_scene(1.0, 0.0, 0.05, masks=np.zeros((1, 40, 40), dtype=bool))[0].any()
 
 
 def scene_from_masks(masks, value=1.0, channels=2):
