@@ -4,8 +4,8 @@ blend_region swaps conditioned content into the masked region of a latent;
 gamma_residual adds a small global Gaussian residual that keeps the edited
 latent from settling into an off-manifold fixed point; reinit_tail_noise
 builds the noise for a freshly appended queue tail by keeping the low
-spatial frequencies of the most recent output (re-noised to the terminal
-level) and replacing the rest with fresh noise.
+spatial frequencies of the most recent output, re-noised to the terminal
+level, and white noise in the rest.
 
 The low-pass band is an ideal square over unshifted FFT indices: it keeps
 the frequencies with max(|u|, |v|) <= cutoff * min(h, w), so cutoff 0.5
@@ -15,6 +15,14 @@ convention.  A square is separable: the band is the outer product of the
 projecting a (C, H, W) stack onto it is L_h @ d @ L_w.T with two real
 circulant matrices.  reinit_tail_noise builds the pair once per
 (h, w, cutoff) from the two 1-D bands and keeps it read-only.
+
+One normal draw e serves both bands of a tail.  Splitting the diffused
+frame sqrt(ab_T) * x + sqrt(1 - ab_T) * e1 and a second, fresh draw e2 by
+band would give sqrt(ab_T) * L x + sqrt(1 - ab_T) * L e1 + (I - L) e2.
+The projection L is symmetric and idempotent, so the low and high bands
+of one white draw are independent: L e and (I - L) e have the joint law
+of L e1 and (I - L) e2.  Using e for both keeps the mean sqrt(ab_T) * L x
+and the covariance I - ab_T * L, and saves a draw per tail.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ import numpy as np
 from .core import (
     NoiseSchedule,
     RandomSource,
-    _diffuse,
     check_latent,
     check_mask,
     check_real,
@@ -41,12 +48,14 @@ from .errors import ParameterError
 class BlendParams:
     """Conditioning strength; the in-mask interpolation weight is
     min(1, strength / 2), so the default strength 2.0 is pure replacement
-    and strength 2w pins the weight to any w in [0, 1]."""
+    and strength 2w pins the weight to any w in [0, 1].  strength is kept
+    as the Python float check_real returns, so a numpy float32 blends in
+    float64 like the float of its value."""
 
     strength: float = 2.0
 
     def __post_init__(self):
-        check_real(self.strength, 0, math.inf, "strength")
+        object.__setattr__(self, "strength", check_real(self.strength, 0, math.inf, "strength"))
 
     @property
     def weight(self) -> float:
@@ -55,12 +64,13 @@ class BlendParams:
 
 @dataclasses.dataclass(frozen=True)
 class ResidualParams:
-    """Scale of the global Gaussian residual added after a blend."""
+    """Scale of the global Gaussian residual added after a blend, kept as
+    the Python float check_real returns."""
 
     gamma: float = 0.05
 
     def __post_init__(self):
-        check_real(self.gamma, 0, math.inf, "gamma")
+        object.__setattr__(self, "gamma", check_real(self.gamma, 0, math.inf, "gamma"))
 
 
 def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendParams) -> np.ndarray:
@@ -113,24 +123,22 @@ def reinit_tail_noise(
 ) -> np.ndarray:
     """Terminal-level noise that carries the recent frame's low frequencies.
 
-    Draw order is fixed: first the forward-diffusion noise for x_recent
-    (core._diffuse, forward_diffuse's body, at level T), then the fresh
-    replacement noise.  Each channel keeps its low band from the diffused
-    frame and the rest from the fresh noise; since the split is linear,
-    that is
+    One normal draw e of x_recent's shape gives the result.  Each channel
+    keeps its low band from the frame diffused to level T with e,
+    sqrt(ab_T) * x_recent + sqrt(1 - ab_T) * e, and the rest from e itself;
+    since the split is linear, that is
 
-        fresh + lowpass(diffused - fresh) = fresh + L_h @ (diffused - fresh) @ L_w.T
+        e + L_h @ (sqrt(ab_T) * x_recent - (1 - sqrt(1 - ab_T)) * e) @ L_w.T
 
-    with the cached separable factors of the module docstring.  cutoff 0
-    keeps no band: both factors are zero, so the result is fresh + 0.
+    with the cached separable factors of the module docstring, whose last
+    paragraph says why one draw has the distribution of two.  cutoff 0
+    keeps no band: both factors are zero, so the result is e + 0.
     """
     cutoff = check_real(cutoff, 0, 0.5, "cutoff")
     x_recent, s = check_latent(x_recent, "x_recent"), check_type(s, NoiseSchedule, "s")
-    rng = check_type(rng, RandomSource, "rng")
-    diffused = _diffuse(x_recent, s.alpha_bar[s.T], rng)
-    fresh = rng.normal(diffused.shape)
-    left, right = _band_factors(*diffused.shape[1:], cutoff)
-    diffused -= fresh
-    low = left @ diffused @ right
-    low += fresh
-    return low
+    noise = check_type(rng, RandomSource, "rng").normal(x_recent.shape)
+    left, right = _band_factors(*x_recent.shape[1:], cutoff)
+    ab = s.alpha_bar[s.T]
+    out = left @ (np.sqrt(ab) * x_recent - (1.0 - np.sqrt(1.0 - ab)) * noise) @ right
+    out += noise
+    return out

@@ -1,8 +1,9 @@
 """Run configuration: strict JSON parsing with full-field validation.
 
 Unknown keys are rejected rather than ignored so a typo cannot silently
-fall back to a default.  The accepted keys come from the dataclass fields
-below; only "lambda" (sampler.lam) is renamed.
+fall back to a default, and so is a key repeated in one JSON object, which
+json.loads would settle by keeping the last value.  The accepted keys come
+from the dataclass fields below; only "lambda" (sampler.lam) is renamed.
 
 A RunConfig checks itself when it is built, by parse_config, by a caller
 or by dataclasses.replace, so every RunConfig is one the library accepts:
@@ -112,11 +113,22 @@ def _from_json(cls, obj: dict, where: str):
     return cls(**kwargs)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads's object_pairs_hook: the object as a dict, or ConfigError
+    naming a key that it repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r} in a config object")
+        obj[key] = value
+    return obj
+
+
 def parse_config(source: str | dict) -> RunConfig:
     """Parse and validate a run configuration from JSON text or a dict."""
     if isinstance(source, str):
         try:
-            source = json.loads(source)
+            source = json.loads(source, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(source, dict):

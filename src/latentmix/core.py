@@ -251,15 +251,9 @@ def forward_diffuse(x0: np.ndarray, t: int, s: NoiseSchedule, rng: RandomSource)
     """Noise a clean latent to level t: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps.
 
     Always consumes one normal draw of x0's shape, including at t=0 where the
-    output equals x0 exactly.  The checks are here; the body is _diffuse,
-    which blending.reinit_tail_noise also runs on its own checked frame.
+    output equals x0 exactly.
     """
     x0, s = check_latent(x0, "x0"), check_type(s, NoiseSchedule, "s")
-    return _diffuse(x0, s.alpha_bar[check_level(t, 0, s.T, "t")], check_type(rng, RandomSource, "rng"))
-
-
-def _diffuse(x0: np.ndarray, ab: float, rng: RandomSource) -> np.ndarray:
-    """forward_diffuse's body: a checked latent x0, ab = alpha_bar[t] and a
-    checked rng, which gives the one normal draw."""
-    eps = rng.normal(x0.shape)
+    ab = s.alpha_bar[check_level(t, 0, s.T, "t")]
+    eps = check_type(rng, RandomSource, "rng").normal(x0.shape)
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps

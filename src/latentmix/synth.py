@@ -110,7 +110,7 @@ def checkerboard_frame(grid: int, channels: int = 4, hi: float = 1.0, lo: float 
     hi, lo = check_real(hi, -math.inf, math.inf, "hi"), check_real(lo, -math.inf, math.inf, "lo")
     rows, cols = np.indices((grid, grid))
     board = np.where((rows + cols) % 2 == 0, hi, lo)
-    return np.broadcast_to(board, (channels, grid, grid)).astype(np.float64).copy()
+    return np.broadcast_to(board, (channels, grid, grid)).copy()
 
 
 def patch_embedding_proxy(frame: np.ndarray, patches: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """The benchmark's seed-0 outputs, pinned: input 0 of each workload, run as
-bench/run.py runs it, must give the digest it gave when recorded.
+bench/run.py runs it, must give the digest it gave when recorded.  The
+edit's meaning is pinned on any numpy too: the benchmark's edit loop must
+match reference_edit, the same edit written from the formulas.
 
 bench/workloads.py and bench/driver.py are loaded by path, so nothing in
 bench/ is imported by name or changed."""
@@ -15,6 +17,9 @@ import pytest
 from latentmix.config import parse_config
 from latentmix.core import RandomSource, make_schedule
 from latentmix.synth import OracleSpec, oracle_denoiser
+from latentmix.tracking import OverlapTracker, ThresholdSegmenter
+
+from reference_edit import reference_edit
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -40,8 +45,8 @@ driver = load_bench_module("driver")
 # depend on the BLAS build as well.
 GOLDEN_NUMPY = "2.4.6"
 SEED0_DIGESTS = {
-    "desk-edit": "fcb7777d1410aed60c935f61dbdd94611bac762310f0034546af224334e9994b",
-    "video-edit": "85ee614074e29c64b9a1104651318dc4009d68197cc564a6f08cb19b7e4a381c",
+    "desk-edit": "44de17ea5fb52a1b0d4196c18b5379ff2aaf30ab0c365a812549183923cec254",
+    "video-edit": "31d52c2badb853850273861d796292545288e1f50d9e3b805122c60607fb6d66",
     "invert-roundtrip": "f6a9976b6071c7cb6db6cecc78546cf49003bcd57d5e3aa91735b7d4ff3496a4",
 }
 
@@ -62,3 +67,27 @@ def test_seed0_output_digest(name, tmp_path):
     else:
         out = driver.roundtrip_clip(*args, str(tmp_path))
     assert driver.digest(out) == SEED0_DIGESTS[name]
+
+
+# The reference re-associates the step and applies the band by FFT, so the
+# two edits differ by rounding: measured at most 2.5e-15 of max |out|.
+REFERENCE_TOLERANCE = 1e-12
+
+
+@pytest.mark.parametrize(
+    "name,kappa0,eta",
+    [("desk-edit", k, eta) for k in (0.0, 2.0) for eta in (0.0, 0.5)]
+    + [("video-edit", 2.0, eta) for eta in (0.0, 0.5)],
+)
+def test_edit_matches_reference(name, kappa0, eta):
+    wl = workloads.WORKLOADS[name]
+    cfg = parse_config({**wl.config_json(0), "sampler": {"kappa0": kappa0, "eta": eta}})
+    s = make_schedule(**dataclasses.asdict(cfg.schedule))
+    clip = workloads.make_inputs(wl, 0, 1, cfg.queue.frames)[0]
+    oracle = oracle_denoiser(OracleSpec(frames=clip.source), s)
+    out, tracker = driver.edit_clip(driver.Layers(), cfg, s, oracle, clip, RandomSource(0).child(0))
+    ref_tracker = OverlapTracker(ThresholdSegmenter(driver.SEGMENT_THETA, largest_component=True), cfg.injection.tau)
+    ref = reference_edit(cfg, s, oracle, clip, RandomSource(0).child(0), ref_tracker)
+    assert np.max(np.abs(out - ref)) <= REFERENCE_TOLERANCE * np.max(np.abs(ref))
+    assert tracker.linked == ref_tracker.linked
+    assert np.array_equal(tracker.masks, ref_tracker.masks)

@@ -67,6 +67,15 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"io": {"output": "out.lts"}})
 
+    def test_duplicate_keys(self):
+        # the last value would win, and the first section's lambda would be dropped
+        with pytest.raises(ConfigError, match="^duplicate key 'seed' in a config object$"):
+            parse_config('{"seed": 1, "seed": 2}')
+        with pytest.raises(ConfigError, match="^duplicate key 'sampler' in a config object$"):
+            parse_config('{"sampler": {"lambda": 2.0}, "sampler": {"eta": 0.5}}')
+        with pytest.raises(ConfigError, match="^duplicate key 'lambda' in a config object$"):
+            parse_config('{"sampler": {"lambda": 2.0, "lambda": 0.5}}')
+
     def test_structure(self):
         with pytest.raises(ConfigError):
             parse_config("{not json")

@@ -185,7 +185,9 @@ class TestMovingSquareScene:
 class TestCheckerboard:
     def test_pattern(self):
         f = checkerboard_frame(4, channels=2, hi=1.0, lo=-1.0)
-        assert f.shape == (2, 4, 4)
+        assert f.shape == (2, 4, 4) and f.dtype == np.float64
+        # a new C-ordered array of its own, not a view of one channel
+        assert f.flags.c_contiguous and f.flags.writeable and f.flags.owndata
         assert f[0, 0, 0] == 1.0 and f[0, 0, 1] == -1.0 and f[1, 1, 0] == -1.0
         assert np.array_equal(f[0], f[1])
 
