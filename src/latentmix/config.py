@@ -101,7 +101,8 @@ def _from_json(cls, obj: dict, where: str):
     fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     unknown = set(obj) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+        # key=str: a dict source may mix str keys with others, which do not compare
+        raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown, key=str)}")
     kwargs = {}
     for key, value in obj.items():
         field = fields[key]

@@ -3,7 +3,9 @@ library's rules: check_level, check_real, check_type, check_method,
 as_real_array, check_latent and check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
-them into (F, C, H, W).  All stochastic code draws from RandomSource so that
+them into (F, C, H, W).  A sequence loaded from an LTS file holds the stored
+float32 values; every entry point widens a latent it is given to float64
+through check_latent.  All stochastic code draws from RandomSource so that
 a run is a pure function of its seed.  The package's value types that hold
 arrays compare and hash by identity (eq=False): numpy's == on two arrays has
 no single truth value.
@@ -150,8 +152,10 @@ class LatentSequence:
 
     @classmethod
     def _checked(cls, data: np.ndarray) -> "LatentSequence":
-        """Wrap a float64 (F, C, H, W) array that its producer has already
-        checked finite, without scanning it again."""
+        """Wrap a (F, C, H, W) array that its producer has already checked
+        finite, without scanning it again: float64 from ddim_invert, or the
+        stored float32 from ltsio.load_sequence, which entry points widen
+        through check_latent."""
         seq = object.__new__(cls)
         seq.__dict__["data"] = data
         return seq

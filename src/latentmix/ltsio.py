@@ -8,13 +8,15 @@ The payload's kind is its array's dtype, so no caller passes flags.  write_lts
 takes in two kinds: a bool (F, 1, H, W) array is a mask, flag bit 0 set, and
 any other real array is a latent, flags 0, cast once to float64 by
 core.as_real_array (a float64 array, as save_sequence passes, is not copied).
-Either is stored as float32.  read_lts gives a mask file back as a bool (F, 1,
-H, W) array and any other file as float64.  Each payload goes through one
-rule, once, block by block.  A latent block is scanned for inf and nan as
-stored, on write and on read.  A bool payload needs no scan on write; on read,
-each stored mask block must pass core.check_mask (every value exactly 0.0 or
-1.0, which also rules out inf and nan).  read_lts raises its failures as
-FormatError naming the path.
+Either is stored as float32.  A file reads back as it is stored: read_lts
+gives a mask file back as a bool (F, 1, H, W) array and any other file as the
+stored float32 (F, C, H, W) array, which the library's entry points widen
+through core.check_latent when they are given it.  Each payload goes through
+one rule, once.  A latent payload is scanned for inf and nan as stored, on
+write and on read.  A bool payload needs no scan on write; on read, the stored
+mask payload must pass core.check_mask (every value exactly 0.0 or 1.0, which
+also rules out inf and nan).  read_lts raises its failures as FormatError
+naming the path.
 
 All writers go through atomic_write_bytes: a temp file in the target's
 directory, preallocated to the payload's size, then renamed over the target,
@@ -25,12 +27,13 @@ writeback of a file renamed over another (auto_da_alloc) does not fire; the
 library never relied on it, and it cost about 0.7 ms of a 2 MB write (2-vCPU
 host, ext4 with default mount options).
 
-The payload moves through one float32 block of whole frames, BLOCK_BYTES or
-one frame, whichever is larger: write_lts casts, scans and writes it block by
-block, and read_lts reads, checks and converts it block by block into its
-result.  So besides its input, cast to float64 when it is a latent, or its
-result, a call holds at most one block, max(256 KB, one frame), and its
-check's temporaries.
+A read is one readinto of the whole payload into its float32 result, which
+the check then scans in place.  So read_lts holds that float32 payload and its
+check's temporaries, and for a mask file the bool result as well.  The block
+belongs to the writer: write_lts casts, scans and writes the payload through
+one reused float32 block of whole frames, BLOCK_BYTES or one frame, whichever
+is larger, so besides its input, cast to float64 when it is a latent, it holds
+at most one block, max(256 KB, one frame), and its scan's temporaries.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ FLAG_MASK = 1
 _HEADER = struct.Struct("<4s5I")
 # 256 KB: on a 51x4x40x64 trajectory (2-vCPU host, ext4), save_sequence over
 # an existing file took 0.76 ms with 64 KB blocks, 0.52 ms with 256 KB and
-# 0.53 ms with 1 MB, and load_sequence 0.36, 0.28 and 0.33 ms: smaller blocks
-# pay more calls per payload, larger ones save no time for their memory.
+# 0.53 ms with 1 MB: smaller blocks pay more calls per payload, larger ones
+# save no time for their memory.
 BLOCK_BYTES = 1 << 18
 
 
@@ -129,11 +132,12 @@ def _encoded(data: np.ndarray):
 def write_lts(path, data: np.ndarray) -> None:
     """Serialize a (F, C, H, W) real array; payload is stored as float32.  A
     bool array is a mask payload, (F, 1, H, W), and is flagged FLAG_MASK;
-    any other is a latent payload, taken in as float64."""
+    any other is a latent payload, taken in as float64.  Each size must lie
+    in [1, 2**32 - 1], the range of the header's u32 fields."""
     data = _asarray(data, "LTS payload")
     flags = FLAG_MASK if data.dtype == bool else 0
     data = data if flags else as_real_array(data, "LTS payload")
-    if data.ndim != 4 or min(data.shape) < 1 or flags and data.shape[1] != 1:
+    if data.ndim != 4 or not 0 < min(data.shape) <= max(data.shape) < 2**32 or flags and data.shape[1] != 1:
         raise ParameterError(f"LTS payload must be (F, {1 if flags else 'C'}, H, W), got shape {data.shape}")
     header = _HEADER.pack(MAGIC, *data.shape, flags)
     atomic_write_bytes(path, itertools.chain((header,), _encoded(data)), len(header) + 4 * data.size)
@@ -141,8 +145,9 @@ def write_lts(path, data: np.ndarray) -> None:
 
 def read_lts(path) -> np.ndarray:
     """Read an LTS file: a mask file as a bool (F, 1, H, W) array, any other
-    as a float64 (F, C, H, W) array.  The header is checked against the
-    file's size before anything is allocated."""
+    as its stored float32 (F, C, H, W) array.  The header is checked against
+    the file's size before anything is allocated, and the payload is read
+    with one readinto."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -159,23 +164,17 @@ def read_lts(path) -> np.ndarray:
         payload = os.fstat(fh.fileno()).st_size - _HEADER.size
         if payload != 4 * f * c * h * w:
             raise FormatError(f"{path}: payload size {payload} does not match header")
-        data = np.empty((f, c, h, w), dtype=bool if flags else np.float64)
-        block = _block(data.shape)
-        for i in range(0, f, len(block)):
-            stored = block[: f - i]
-            if fh.readinto(stored) != stored.nbytes:
-                raise FormatError(f"{path}: payload ends before the size its header gives")
-            # Check the stored float32 values: widening keeps every inf and
-            # nan, and the float32 scan reads half the bytes.  The mask rule
-            # admits only 0.0 and 1.0, so a mask needs no finiteness scan.
-            if flags:
-                try:
-                    stored = check_mask(stored, (None, 1, None, None), "mask payload")
-                except ParameterError as e:
-                    raise FormatError(f"{path}: {e}") from None
-            elif not all_finite(stored):
-                raise FormatError(f"{path}: payload contains non-finite values")
-            data[i : i + len(stored)] = stored
+        data = np.empty((f, c, h, w), dtype="<f4")
+        if fh.readinto(data) != data.nbytes:
+            raise FormatError(f"{path}: payload ends before the size its header gives")
+    if flags:
+        # the mask rule admits only 0.0 and 1.0, so a mask needs no finiteness scan
+        try:
+            return check_mask(data, (None, 1, None, None), "mask payload")
+        except ParameterError as e:
+            raise FormatError(f"{path}: {e}") from None
+    if not all_finite(data):
+        raise FormatError(f"{path}: payload contains non-finite values")
     return data
 
 
@@ -187,7 +186,7 @@ def load_sequence(path) -> LatentSequence:
     data = read_lts(path)
     if data.dtype == bool:
         raise FormatError(f"{path}: expected latent payload, found mask payload")
-    return LatentSequence._checked(data)  # read_lts has scanned the payload
+    return LatentSequence._checked(data)  # read_lts has scanned the float32 payload
 
 
 def save_masks(path, masks: np.ndarray) -> None:

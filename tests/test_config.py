@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ class TestParse:
             parse_config({"queue": {"lenght": 4}})
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config({"io": {"output": "out.lts"}})
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ({"zz": 1, "it's": 2, "a": 3, "seed": 4}, "unknown key(s) in the config root: ['a', \"it's\", 'zz']"),
+            ({"sedd": 1, 2: 3}, "unknown key(s) in the config root: [2, 'sedd']"),
+            ({"sampler": {"x": 1, None: 2}}, "unknown key(s) in 'sampler': [None, 'x']"),
+        ],
+        ids=["strings", "mixed-root", "mixed-section"],
+    )
+    def test_unknown_keys_are_named_in_order(self, source, message):
+        # a dict source may mix key types that do not compare with each other
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(source)
 
     def test_duplicate_keys(self):
         # the last value would win, and the first section's lambda would be dropped

@@ -80,10 +80,28 @@ def test_read_lts_returns_bool_for_a_mask_file(tmp_path):
     write_lts(path, masks)
     back = read_lts(path)
     assert back.dtype == bool and np.array_equal(back, masks)
-    # a numeric 0/1 array is a latent payload, read back as float64
+    # a numeric 0/1 array is a latent payload, read back as float32
     write_lts(path, masks.astype(np.float64))
     assert struct.unpack_from("<4s5I", path.read_bytes())[5] == 0
-    assert read_lts(path).dtype == np.float64
+    assert read_lts(path).dtype == np.float32
+
+
+def test_read_lts_returns_a_latent_file_as_stored(tmp_path):
+    # the stored float32 values, bit for bit, with nothing widened
+    path = tmp_path / "seq.lts"
+    write_lts(path, RandomSource(13).normal((3, 2, 5, 7)) * 3.0)
+    raw = path.read_bytes()
+    back = read_lts(path)
+    assert back.dtype == np.float32
+    assert back.tobytes() == np.frombuffer(raw[24:], "<f4").reshape(3, 2, 5, 7).tobytes()
+
+
+def test_write_rejects_a_size_beyond_the_header(tmp_path):
+    # the header stores each size as a u32; a broadcast view allocates nothing
+    data = np.broadcast_to(np.float64(1), (2**32, 1, 1, 1))
+    with pytest.raises(ParameterError, match=r"^LTS payload must be \(F, C, H, W\), got shape \(4294967296, 1, 1, 1\)$"):
+        write_lts(tmp_path / "huge.lts", data)
+    assert os.listdir(tmp_path) == []
 
 
 def test_mask_flag_enforced_on_write(tmp_path):
@@ -199,7 +217,7 @@ def test_accepted_payload_reads_back(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("lts") / "seq.lts"
     write_lts(path, data)
     back = read_lts(path)
-    assert back.dtype == np.float64
+    assert back.dtype == np.float32
     assert np.array_equal(back, data.astype(np.float32).astype(np.float64))
 
 
@@ -213,7 +231,7 @@ def test_payload_whose_float32_sum_of_squares_overflows_reads_back(tmp_path):
         warnings.simplefilter("error")
         write_lts(path, data)
         back = read_lts(path)
-    assert back.dtype == np.float64
+    assert back.dtype == np.float32
     assert np.array_equal(back, data.astype(np.float32).astype(np.float64))
 
 
@@ -355,8 +373,8 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
 
-# What a call may hold beyond its input or result and one block: the
-# finiteness scan's bool block in the worst case, and Python objects.
+# What a call may hold beyond its input, result or block: the finiteness
+# scan's bool temporary in the worst case, and Python objects.
 SLACK = 64 * 1024
 TRAJECTORY = (51, 4, 40, 64)  # the bench's 50-hop trajectory at video scale
 
@@ -371,18 +389,18 @@ def test_save_sequence_memory_budget(tmp_path):
 
 
 def test_read_lts_memory_budget(tmp_path):
-    # the float64 result and one float32 block; the file is never read whole
+    # the float32 result, read into in place; no float64 copy and no block
     seq = LatentSequence(RandomSource(10).normal(TRAJECTORY))
     path = tmp_path / "traj.lts"
     save_sequence(path, seq)
     read_lts(path)  # warm-up
     peak = traced_peak(read_lts, path)
-    assert peak <= seq.data.nbytes + BLOCK_BYTES + SLACK
+    assert peak <= seq.data.nbytes // 2 + SLACK
 
 
 def test_read_checks_size_before_allocating(tmp_path):
     # a header claiming 2**48 values over a 24-byte file fails on its size,
-    # before the float64 result or a block is allocated
+    # before the result is allocated
     path = tmp_path / "huge.lts"
     path.write_bytes(struct.pack("<4s5I", b"LTS1", 65535, 65535, 65535, 1, 0))
 
@@ -445,7 +463,7 @@ def test_blocked_write_matches_whole_payload_cast(tmp_path, shape, dtype):
     stored = np.asarray(data, dtype=np.float64).astype("<f4")
     assert path.read_bytes() == struct.pack("<4s5I", b"LTS1", *data.shape, flags) + stored.tobytes()
     back = read_lts(path)
-    assert back.dtype == (bool if flags else np.float64)
+    assert back.dtype == (bool if flags else np.float32)
     assert np.array_equal(back, data if flags else stored.astype(np.float64))
 
 
@@ -492,8 +510,8 @@ MASK_STACK = (16, 40, 64)  # the bench's mask stack at video scale
 
 
 def test_load_masks_memory_budget(tmp_path):
-    # the bool result, one float32 block and the one bool block its check
-    # returns; no float64 copy of the stack and no other block-sized temporary
+    # the float32 payload, one block at this size, and the bool result its
+    # check returns; no float64 copy of the stack and no other temporary
     masks = np.random.default_rng(12).random(MASK_STACK) > 0.5
     path = tmp_path / "masks.lts"
     save_masks(path, masks)
