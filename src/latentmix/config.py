@@ -132,6 +132,11 @@ def parse_config(source: str | dict) -> RunConfig:
             source = json.loads(source, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
+        except ConfigError:  # _unique_keys's, which is a ValueError too
+            raise
+        except (ValueError, RecursionError) as e:
+            # an integer beyond int_max_str_digits, or nesting beyond the recursion limit
+            raise ConfigError(f"config cannot be parsed: {e}") from e
     if not isinstance(source, dict):
         raise ConfigError("config root must be a JSON object")
     return _from_json(RunConfig, source, "the config root")

@@ -29,58 +29,48 @@ host, ext4 with default mount options).
 
 A read is one readinto of the whole payload into its float32 result, which
 the check then scans in place.  So read_lts holds that float32 payload and its
-check's temporaries, and for a mask file the bool result as well.  The block
-belongs to the writer: write_lts casts, scans and writes the payload through
-one reused float32 block of whole frames, BLOCK_BYTES or one frame, whichever
-is larger, so besides its input, cast to float64 when it is a latent, it holds
-at most one block, max(256 KB, one frame), and its scan's temporaries.
+check's temporaries, and for a mask file the bool result as well.  A write is
+the mirror image: write_lts casts its input once to the float32 payload, scans
+a latent payload once, and hands the header and payload to atomic_write_bytes
+in one call, so it holds its input (cast to float64 when it is a latent), the
+float32 payload and its scan's temporaries.  Every check of the payload runs
+before the first file-system call.
 """
 
 from __future__ import annotations
 
 import errno
-import itertools
-import math
 import os
 import struct
 
 import numpy as np
 
-from .core import LatentSequence, _asarray, all_finite, as_real_array, check_level, check_mask, check_type
+from .core import LatentSequence, _asarray, all_finite, as_real_array, check_mask, check_type
 from .errors import FormatError, ParameterError
 
 MAGIC = b"LTS1"
 FLAG_MASK = 1
 _HEADER = struct.Struct("<4s5I")
-# 256 KB: on a 51x4x40x64 trajectory (2-vCPU host, ext4), save_sequence over
-# an existing file took 0.76 ms with 64 KB blocks, 0.52 ms with 256 KB and
-# 0.53 ms with 1 MB: smaller blocks pay more calls per payload, larger ones
-# save no time for their memory.
-BLOCK_BYTES = 1 << 18
 
 
-def atomic_write_bytes(path, chunks, size: int) -> None:
+def atomic_write_bytes(path, chunks) -> None:
     """Write the bytes-like chunks of an iterable, in order, to path via a
-    temp file in the same directory + rename.  The chunks must hold exactly
-    size bytes in all, which the temp file is allocated up front; otherwise
-    ParameterError.  The iterable is consumed lazily, one chunk written
-    before the next is asked for, so a generator may hand back one reused
-    buffer each time.  A chunk may be any C-contiguous buffer, such as a
-    numpy array, and is written without being copied.  If any chunk fails to
-    be made or written, or the space cannot be allocated, path is left as it
-    was and the temp file is removed.  The file gets the mode open() would
-    give it: 0o666 less the umask."""
-    size = check_level(size, 0, math.inf, "size")
-    path = os.fspath(path)
+    temp file in the same directory + rename.  Every chunk is taken in as a
+    memoryview before the temp file is created, and the file is allocated up
+    front to their total size.  A chunk may be any C-contiguous buffer, such
+    as a numpy array, and is written without being copied.  If a chunk is
+    not a buffer, nothing is created; if a write fails, or the space cannot
+    be allocated, path is left as it was and the temp file is removed.  The
+    file gets the mode open() would give it: 0o666 less the umask."""
+    views = [memoryview(chunk) for chunk in chunks]
+    path = os.fsdecode(path)
     tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     # O_EXCL: never open a file that is already there; O_BINARY exists only on Windows
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            _preallocate(fd, size)
-            written = sum(map(fh.write, chunks))
-        if written != size:
-            raise ParameterError(f"chunks hold {written} bytes, not the {size} given as size")
+            _preallocate(fd, sum(view.nbytes for view in views))
+            fh.writelines(views)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -106,29 +96,6 @@ def _preallocate(fd: int, size: int) -> None:
             raise
 
 
-def _block(shape: tuple) -> np.ndarray:
-    """The (rows, C, H, W) float32 block for a payload of that shape: whole
-    frames, at most BLOCK_BYTES of them, but never fewer than one frame."""
-    f, c, h, w = shape
-    return np.empty((max(1, min(f, BLOCK_BYTES // (4 * c * h * w))), c, h, w), dtype="<f4")
-
-
-def _encoded(data: np.ndarray):
-    """Yield the stored float32 values of a float64 or bool array through one
-    reused block, each block cast and scanned before it is handed on."""
-    block = _block(data.shape)
-    for i in range(0, len(data), len(block)):
-        out = block[: len(data) - i]
-        with np.errstate(over="ignore"):
-            np.copyto(out, data[i : i + len(out)], casting="unsafe")
-        # Check what is stored: a finite float64 beyond the float32 range
-        # is stored as inf, which read_lts rejects.  A bool block is all
-        # 0.0 and 1.0, so it needs no scan.
-        if data.dtype != bool and not all_finite(out):
-            raise ParameterError("LTS payload contains non-finite values")
-        yield out
-
-
 def write_lts(path, data: np.ndarray) -> None:
     """Serialize a (F, C, H, W) real array; payload is stored as float32.  A
     bool array is a mask payload, (F, 1, H, W), and is flagged FLAG_MASK;
@@ -139,8 +106,14 @@ def write_lts(path, data: np.ndarray) -> None:
     data = data if flags else as_real_array(data, "LTS payload")
     if data.ndim != 4 or not 0 < min(data.shape) <= max(data.shape) < 2**32 or flags and data.shape[1] != 1:
         raise ParameterError(f"LTS payload must be (F, {1 if flags else 'C'}, H, W), got shape {data.shape}")
-    header = _HEADER.pack(MAGIC, *data.shape, flags)
-    atomic_write_bytes(path, itertools.chain((header,), _encoded(data)), len(header) + 4 * data.size)
+    with np.errstate(over="ignore"):
+        payload = data.astype("<f4", order="C")
+    # Check what is stored: a finite float64 beyond the float32 range is
+    # stored as inf, which read_lts rejects.  A mask payload is all 0.0 and
+    # 1.0, so it needs no scan.
+    if not flags and not all_finite(payload):
+        raise ParameterError("LTS payload contains non-finite values")
+    atomic_write_bytes(path, (_HEADER.pack(MAGIC, *data.shape, flags), payload))
 
 
 def read_lts(path) -> np.ndarray:

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestParse:
             parse_config('{"sampler": {"lambda": 2.0}, "sampler": {"eta": 0.5}}')
         with pytest.raises(ConfigError, match="^duplicate key 'lambda' in a config object$"):
             parse_config('{"sampler": {"lambda": 2.0, "lambda": 0.5}}')
+
+    def test_nesting_beyond_the_recursion_limit(self):
+        with pytest.raises(ConfigError, match="^config cannot be parsed: maximum recursion depth exceeded"):
+            parse_config("[" * 100000)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="Python before 3.10.7 has no digit limit")
+    def test_integer_beyond_the_digit_limit(self):
+        # valid JSON, but Python refuses to convert an int of more than 4300 digits
+        with pytest.raises(ConfigError, match="^config cannot be parsed: "):
+            parse_config('{"seed": ' + "1" * 5000 + "}")
 
     def test_structure(self):
         with pytest.raises(ConfigError):

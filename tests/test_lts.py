@@ -15,7 +15,6 @@ from latentmix.core import LatentSequence, RandomSource, check_mask
 from latentmix.errors import FormatError, ParameterError
 from latentmix import ltsio
 from latentmix.ltsio import (
-    BLOCK_BYTES,
     FLAG_MASK,
     atomic_write_bytes,
     load_masks,
@@ -199,6 +198,33 @@ def test_write_rejects_values_beyond_float32(tmp_path, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1e39])
+def test_payload_fails_before_any_file_is_touched(tmp_path, monkeypatch, bad):
+    # a payload that cannot be stored fails on its own, even aimed at a
+    # directory that does not exist, and no file is ever opened
+    opened = []
+    real_open = os.open
+
+    def recording_open(*args):
+        opened.append(args)
+        return real_open(*args)
+
+    monkeypatch.setattr(ltsio.os, "open", recording_open)
+    data = np.zeros((2, 1, 2, 2))
+    data[-1, -1, -1, -1] = bad
+    with pytest.raises(ParameterError, match="^LTS payload contains non-finite values$"):
+        write_lts(tmp_path / "missing" / "x.lts", data)
+    assert opened == []
+
+
+def test_write_and_read_through_a_bytes_path(tmp_path):
+    data = np.arange(2 * 3 * 4 * 5, dtype=np.float64).reshape(2, 3, 4, 5) / 8.0
+    path = os.fsencode(tmp_path / "x.lts")
+    write_lts(path, data)
+    assert np.array_equal(read_lts(path), data)
+    assert os.listdir(tmp_path) == ["x.lts"]
+
+
 F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -244,7 +270,7 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 def test_atomic_write_joins_chunks(tmp_path):
     path = tmp_path / "chunks.bin"
-    atomic_write_bytes(path, [b"ab", memoryview(b"cd"), np.arange(2, dtype="<f4")], 12)
+    atomic_write_bytes(path, [b"ab", memoryview(b"cd"), np.arange(2, dtype="<f4")])
     assert path.read_bytes() == b"abcd" + np.arange(2, dtype="<f4").tobytes()
 
 
@@ -252,7 +278,7 @@ def test_atomic_write_failed_chunk_keeps_target(tmp_path):
     path = tmp_path / "target.bin"
     path.write_bytes(b"old")
     with pytest.raises(TypeError):
-        atomic_write_bytes(path, [b"new", object()], 3)  # no buffer: fails mid-write
+        atomic_write_bytes(path, [b"new", object()])  # no buffer: fails before the temp file
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["target.bin"]
 
@@ -266,7 +292,7 @@ def test_atomic_write_failed_generator_keeps_target(tmp_path):
         raise RuntimeError("no more chunks")
 
     with pytest.raises(RuntimeError, match="no more chunks"):
-        atomic_write_bytes(path, chunks(), 3)
+        atomic_write_bytes(path, chunks())
     assert path.read_bytes() == b"old"
     assert os.listdir(tmp_path) == ["target.bin"]
 
@@ -289,17 +315,15 @@ def test_atomic_write_preallocates_before_writing(tmp_path, monkeypatch):
     assert path.stat().st_size == size
 
 
-@pytest.mark.parametrize("size", [0, 2, 4])
-def test_atomic_write_size_mismatch_keeps_target(tmp_path, size):
-    path = tmp_path / "target.bin"
-    path.write_bytes(b"old")
-    with pytest.raises(ParameterError, match=f"^chunks hold 3 bytes, not the {size} given as size$"):
-        atomic_write_bytes(path, [b"n", b"ew"], size)
-    assert path.read_bytes() == b"old"
-    assert os.listdir(tmp_path) == ["target.bin"]
+def failing_allocation(code):
+    def allocate(fd, offset, size):
+        raise OSError(getattr(errno, code), os.strerror(getattr(errno, code)))
+
+    return allocate
 
 
 def test_atomic_write_failed_cleanup_keeps_the_chunk_error(tmp_path, monkeypatch):
+    # the allocation fails once the temp file exists, and so does its removal
     path = tmp_path / "target.bin"
     path.write_bytes(b"old")
     unlinked = []
@@ -308,30 +332,15 @@ def test_atomic_write_failed_cleanup_keeps_the_chunk_error(tmp_path, monkeypatch
         unlinked.append(name)
         raise OSError(errno.EACCES, "unlink refused")
 
-    def chunks():
-        yield b"new"
-        raise RuntimeError("no more chunks")
-
+    monkeypatch.setattr(os, "posix_fallocate", failing_allocation("ENOSPC"), raising=False)
     monkeypatch.setattr(ltsio.os, "unlink", failing_unlink)
-    with pytest.raises(RuntimeError, match="no more chunks"):
-        atomic_write_bytes(path, chunks(), 3)
+    with pytest.raises(OSError) as info:
+        atomic_write_bytes(path, [b"n", b"ew"])
+    assert info.value.errno == errno.ENOSPC
     assert path.read_bytes() == b"old"
     # the temp file the failed unlink left behind is the only other file
     assert [os.path.basename(name) for name in unlinked] == sorted(set(os.listdir(tmp_path)) - {"target.bin"})
-
-
-@pytest.mark.parametrize("size", [3.0, True, "3", -1])
-def test_atomic_write_rejects_bad_size(tmp_path, size):
-    with pytest.raises(ParameterError, match="^size must"):
-        atomic_write_bytes(tmp_path / "x.bin", [b"new"], size)
-    assert os.listdir(tmp_path) == []
-
-
-def failing_allocation(code):
-    def allocate(fd, offset, size):
-        raise OSError(getattr(errno, code), os.strerror(getattr(errno, code)))
-
-    return allocate
+    assert len(unlinked) == 1
 
 
 @pytest.mark.parametrize("code", ["ENOSPC", "EDQUOT"])
@@ -366,30 +375,30 @@ def test_written_files_get_the_umask_mode(tmp_path, umask, mode):
     previous = os.umask(umask)
     try:
         write_lts(tmp_path / "x.lts", np.zeros((1, 1, 2, 2)))
-        atomic_write_bytes(tmp_path / "y.bin", [b"y"], 1)
+        atomic_write_bytes(tmp_path / "y.bin", [b"y"])
     finally:
         os.umask(previous)
     for name in ("x.lts", "y.bin"):
         assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
 
-# What a call may hold beyond its input, result or block: the finiteness
+# What a call may hold beyond its input, payload or result: the finiteness
 # scan's bool temporary in the worst case, and Python objects.
 SLACK = 64 * 1024
 TRAJECTORY = (51, 4, 40, 64)  # the bench's 50-hop trajectory at video scale
 
 
 def test_save_sequence_memory_budget(tmp_path):
-    # one float32 block; no float32 or bytes copy of the whole payload
+    # the float32 payload, cast once; no second copy and no bytes copy
     seq = LatentSequence(RandomSource(10).normal(TRAJECTORY))
     path = tmp_path / "traj.lts"
     save_sequence(path, seq)  # warm-up
     peak = traced_peak(save_sequence, path, seq)
-    assert peak <= BLOCK_BYTES + SLACK
+    assert peak <= seq.data.nbytes // 2 + SLACK
 
 
 def test_read_lts_memory_budget(tmp_path):
-    # the float32 result, read into in place; no float64 copy and no block
+    # the float32 result, read into in place; no float64 copy
     seq = LatentSequence(RandomSource(10).normal(TRAJECTORY))
     path = tmp_path / "traj.lts"
     save_sequence(path, seq)
@@ -433,16 +442,13 @@ def test_short_read_is_a_format_error(tmp_path, monkeypatch):
         read_lts(path)
 
 
-# 51 frames of 40 KB fill six-frame blocks with three frames left over; a
-# 360 KB frame is larger than a block, so each block holds one frame
+# a 51-frame trajectory at video scale, and two frames of 360 KB each
 BLOCKED = [(51, 4, 40, 64), (2, 1, 300, 300)]
 
 
 @pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
 def test_blocked_write_matches_whole_payload_cast(tmp_path, shape, dtype):
-    frame_bytes = 4 * shape[1] * shape[2] * shape[3]
-    assert frame_bytes > BLOCK_BYTES or shape[0] % (BLOCK_BYTES // frame_bytes)
     values = RandomSource(11).normal(shape)
     # not float32-exact, and integers beyond 2**24
     data = {
@@ -489,8 +495,7 @@ def test_read_rejects_non_finite_in_last_block(tmp_path, shape):
         read_lts(path)
 
 
-# 70 frames of 10 KB fill 25-frame blocks with 20 left over; a 360 KB frame
-# is larger than a block
+# a 70-frame mask stack at video scale, and two frames of 360 KB each
 MASK_BLOCKED = [(70, 1, 40, 64), (2, 1, 300, 300)]
 
 
@@ -510,12 +515,12 @@ MASK_STACK = (16, 40, 64)  # the bench's mask stack at video scale
 
 
 def test_load_masks_memory_budget(tmp_path):
-    # the float32 payload, one block at this size, and the bool result its
-    # check returns; no float64 copy of the stack and no other temporary
+    # the float32 payload, the bool result its check returns and the check's
+    # bool temporary; no float64 copy of the stack and no other temporary
     masks = np.random.default_rng(12).random(MASK_STACK) > 0.5
     path = tmp_path / "masks.lts"
     save_masks(path, masks)
     load_masks(path)  # warm-up
     peak = traced_peak(load_masks, path)
-    block = ltsio._block((len(masks), 1, *masks.shape[1:])).nbytes
-    assert peak <= masks.nbytes + block + block // 4 + SLACK
+    payload = 4 * masks.size
+    assert peak <= masks.nbytes + payload + payload // 4 + SLACK

@@ -202,6 +202,59 @@ def test_public_names_have_a_caller():
     assert unreferenced == {"DegenerateTrackError"}
 
 
+def constants_and_privates(path: Path) -> dict[str, int]:
+    """Names bound by a module-level assignment, and the _-private
+    module-level functions and classes and methods of a module, with the
+    line of each definition."""
+    defined = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            items = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+            defined.update(
+                (item.name, item.lineno)
+                for item in items
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and item.name.startswith("_")
+            )
+    return {name: line for name, line in defined.items() if not name.startswith("__")}
+
+
+def loaded_names(paths: list[Path]) -> set[str]:
+    """Every identifier that paths read, as a name or an attribute in Load
+    context, outside the body of a function or class of that name."""
+    names = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in enclosing:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in enclosing:
+            names.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    return names
+
+
+def test_constants_and_private_names_are_read():
+    """Every module-level constant and every _-private function, class and
+    method is read by the package or the bench, somewhere other than its own
+    definition, so none is left behind once its last reader goes."""
+    read = loaded_names(MODULES + sorted((ROOT / "bench").glob("*.py")))
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in MODULES
+        for name, line in constants_and_privates(path).items()
+        if name not in read
+    ]
+    assert unread == []
+
+
 # the messages of core.check_level, core.check_real, and core.check_type for an rng
 SCALAR_CHECK_PHRASES = ("must lie in", "must be finite", "must be a number", "must be an integer", "must be a RandomSource")
 
