@@ -57,10 +57,6 @@ class BlendParams:
     def __post_init__(self):
         object.__setattr__(self, "strength", check_real(self.strength, 0, math.inf, "strength"))
 
-    @property
-    def weight(self) -> float:
-        return min(1.0, self.strength / 2.0)
-
 
 @dataclasses.dataclass(frozen=True)
 class ResidualParams:
@@ -78,15 +74,15 @@ def blend_region(x_t: np.ndarray, x_cond_t: np.ndarray, m: np.ndarray, p: BlendP
 
     m is an (H, W) mask on the latent grid under core.check_mask.  Outside
     the mask the input passes through bit-identically; inside, the output is
-    (1-w) * x_t + w * x_cond_t with w = p.weight, so w = 1 gives x_cond_t and
-    w = 0 gives x_t (up to the sign of zero).
+    (1-w) * x_t + w * x_cond_t with w = min(1, p.strength / 2), so w = 1
+    gives x_cond_t and w = 0 gives x_t (up to the sign of zero).
     """
     x_t = check_latent(x_t, "x_t")
     x_cond_t = check_latent(x_cond_t, "x_cond_t")
     if x_cond_t.shape != x_t.shape:
         raise ParameterError(f"conditioned latent shape {x_cond_t.shape} does not match {x_t.shape}")
     m = check_mask(m, x_t.shape[1:])
-    w = check_type(p, BlendParams, "p").weight
+    w = min(1.0, check_type(p, BlendParams, "p").strength / 2.0)
     return np.where(m[None], (1.0 - w) * x_t + w * x_cond_t, x_t)
 
 

@@ -1,6 +1,6 @@
 """Latent containers, noise schedules, the seeded random source, and the
-library's rules: check_level, check_real, check_type, check_method,
-as_real_array, check_latent and check_mask.
+library's rules: check_level, check_levels, check_real, check_type,
+check_method, as_real_array, check_latent and check_mask.
 
 Latent frames are plain float64 arrays of shape (C, H, W); sequences stack
 them into (F, C, H, W).  A sequence loaded from an LTS file holds the stored
@@ -102,6 +102,20 @@ def check_level(t, lo, hi, name) -> int:
     if lo <= t <= hi:
         return t
     raise ParameterError(f"{name} must lie in [{lo}, {hi}], got {t}")
+
+
+def check_levels(seq, lo, hi, name, axes, kind) -> tuple:
+    """Return seq as a tuple of ints, one per axis, each put in [lo, hi] by
+    check_level under the name f"{name} {axis}".  Anything but a tuple, a
+    list or a 1-D array of one entry per axis is rejected whole, as not a
+    (C, H, W) triple or a (dx, dy) pair: a set iterates in hash order, a
+    dict over its keys and a string by character, so none is read as axes."""
+    ordered = isinstance(seq, (tuple, list)) or isinstance(seq, np.ndarray) and seq.ndim == 1
+    if not ordered or len(seq) != len(axes):
+        raise ParameterError(f"{name} must be a ({', '.join(axes)}) {kind}, got {seq!r}")
+    # a list, not a generator: MomentumState.fresh runs this for every queue
+    # slot, and tuple() of a generator costs about 0.2 us more per call
+    return tuple([check_level(n, lo, hi, f"{name} {axis}") for n, axis in zip(seq, axes)])
 
 
 def check_real(x, lo, hi, name) -> float:

@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
-Library callers can catch the base classes (ValueError / RuntimeError /
-ArithmeticError) without importing this module.
+Library callers can catch the base classes (ValueError / ArithmeticError)
+without importing this module.
 """
 
 
@@ -9,11 +9,6 @@ class ParameterError(ValueError):
     """An argument violates an operation's precondition: a level that is not
     an integer in range, a weight that is not a finite number in range, an
     argument of the wrong class."""
-
-
-class DegenerateTrackError(RuntimeError):
-    """A mask was required but no usable track is available.  Nothing raises
-    it until the edit runs as one library call."""
 
 
 class NumericError(ArithmeticError):

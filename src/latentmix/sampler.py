@@ -69,18 +69,24 @@ their sub-grid through one loop that checks every hop's output and raises
 NumericError naming the hop.  Stochastic DDIM is momentum_step with
 kappa0 = 0 and eta > 0; the sweeps have no noise term.
 
-There are still two kernels, one per traffic path.  A sweep hop is three
-elementwise passes over the latent; the step's copy into an operand block
-and matrix product would cost it more (about 15 against 11 us at 4x40x64 on
-one BLAS thread), while the step needs the block to emit v' and x0_hat from
-the same operands.  Written the other way, as one elementwise multiply-add
-per operand and output row, the step took 80-97 us against the product's
-69-80 us at 4x40x64 (traced video-edit runs, three alternating pairs, one
-core of a 2-vCPU x86-64 host).  Folding the divisions and the provisional
-emission into coefficients re-associates the arithmetic, and the BLAS
-kernel behind the matrix product picks its own summation order: at unit
-scale the outputs match the formulas above to a few ulps (tested to
-1e-12), not bit for bit.
+There are still two kernels, one per traffic path, and both ways of
+merging them were measured and lost.  A sweep hop is three elementwise
+passes over the latent; the step needs its operand block to emit v' and
+x0_hat from the same operands.  Timed as whole clips paired in one process
+(ABBA order, one BLAS thread, a 2-vCPU x86-64 host), a step written as one
+elementwise multiply-add per operand and output row, with the sweep sharing
+it, took 1.132 times as long on desk-edit (IQR 1.078-1.208, ahead in 22 of
+200 pairs; the same code against itself read 0.997) and 1.130 times on
+video-edit (1.091-1.174, ahead in 2 of 20).  A sweep run through the
+step's matrix product took 1.098 times as long on invert-roundtrip
+(1.082-1.118, ahead in 0 of 40).  A bare loop of steps at 4x40x64 shows
+the opposite, 124.6 us for the product against 34.9 us elementwise, because
+there the product's block and result are freshly mapped pages on every
+call; inside an edit, whose heap holds the queue, they are not.  Folding
+the divisions and the provisional emission into coefficients re-associates
+the arithmetic, and the BLAS kernel behind the matrix product picks its own
+summation order: at unit scale the outputs match the formulas above to a
+few ulps (tested to 1e-12), not bit for bit.
 """
 
 from __future__ import annotations
@@ -100,6 +106,7 @@ from .core import (
     as_real_array,
     check_latent,
     check_level,
+    check_levels,
     check_method,
     check_real,
     check_type,
@@ -157,11 +164,7 @@ class MomentumState:
     def fresh(cls, shape, T: int, beta: float = 0.9, lam: float = 1.0, kappa0: float = 2.0) -> "MomentumState":
         """A state with a zero velocity of shape (C, H, W), each entry checked
         as a count >= 1 before anything is allocated."""
-        try:
-            c, h, w = shape
-        except (TypeError, ValueError):  # not iterable, or not three entries
-            raise ParameterError(f"shape must be a (C, H, W) triple, got {shape!r}") from None
-        shape = tuple(check_level(n, 1, math.inf, f"shape {axis}") for n, axis in zip((c, h, w), "CHW"))
+        shape = check_levels(shape, 1, math.inf, "shape", "CHW", "triple")
         return cls(v=np.zeros(shape), beta=beta, lam=lam, kappa0=kappa0, T=T)
 
     def _advance(self, v: np.ndarray) -> "MomentumState":
@@ -171,11 +174,6 @@ class MomentumState:
         successor = object.__new__(MomentumState)
         successor.__dict__.update(self.__dict__, v=v)
         return successor
-
-
-def kappa_at(t: int, T: int, kappa0: float) -> float:
-    """Correction weight kappa0 * (1 - t/T): 0 at t=T, kappa0 at t=0."""
-    return kappa0 * (1.0 - t / T)
 
 
 def _predict(predict_eps, x_t, t):
@@ -248,7 +246,7 @@ def momentum_step(
     if eta > 0.0:
         rng = check_type(rng, RandomSource, "rng")  # eta = 0 draws nothing, so its rng goes unchecked
     eps = _predict(check_method(denoiser, "predict_eps", "denoiser"), x_t, t)
-    kappa = kappa_at(t, state.T, state.kappa0)
+    kappa = state.kappa0 * (1.0 - t / state.T)
     ab = s.alpha_bar
     coef, sigma, x0_row = _momentum_map(float(ab[t]), float(ab[t_prev]), eta, state.beta, state.lam, kappa)
     if sigma == 0.0:

@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
-from .core import LatentSequence, NoiseSchedule, as_real_array, check_latent, check_level, check_real, check_type
+from .core import (
+    LatentSequence, NoiseSchedule, as_real_array, check_latent, check_level, check_levels, check_real, check_type
+)
 from .errors import ParameterError
 from .tracking import MaskTrack
 
@@ -84,12 +86,7 @@ def moving_square_scene(
     grid = check_level(grid, 1, math.inf, "grid")
     square = check_level(square, 1, grid, "square side")
     channels = check_level(channels, 1, math.inf, "channels")
-    try:
-        dx, dy = velocity
-    except (TypeError, ValueError):  # not iterable, or not two items
-        raise ParameterError(f"velocity must be a (dx, dy) pair, got {velocity!r}") from None
-    dx = check_level(dx, -math.inf, math.inf, "velocity dx")
-    dy = check_level(dy, -math.inf, math.inf, "velocity dy")
+    dx, dy = check_levels(velocity, -math.inf, math.inf, "velocity", ("dx", "dy"), "pair")
     value = check_real(value, -math.inf, math.inf, "value")
     hi = grid - square
     data = np.zeros((frames, channels, grid, grid))

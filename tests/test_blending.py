@@ -31,11 +31,10 @@ def square_mask(grid, row, col, side):
 
 class TestBlendParams:
     def test_weight_mapping(self):
-        assert BlendParams(strength=2.0).weight == 1.0
-        assert BlendParams(strength=1.0).weight == 0.5
-        assert BlendParams(strength=5.0).weight == 1.0
-        assert BlendParams(strength=0.0).weight == 0.0
-        assert BlendParams(strength=0.5).weight == 0.25
+        # a blend of zeros toward ones under a full mask is the weight itself
+        zeros, ones, full = np.zeros(DESK_SHAPE), np.ones(DESK_SHAPE), np.ones(DESK_SHAPE[1:], dtype=bool)
+        for strength, weight in [(2.0, 1.0), (1.0, 0.5), (5.0, 1.0), (0.0, 0.0), (0.5, 0.25)]:
+            assert np.all(blend_region(zeros, ones, full, BlendParams(strength)) == weight)
 
     def test_validation(self):
         with pytest.raises(ParameterError):

@@ -442,11 +442,15 @@ def test_short_read_is_a_format_error(tmp_path, monkeypatch):
         read_lts(path)
 
 
-# a 51-frame trajectory at video scale, and two frames of 360 KB each
-BLOCKED = [(51, 4, 40, 64), (2, 1, 300, 300)]
+# large payloads: a 51-frame trajectory at video scale, and two frames of
+# 360 KB each.  The test names still say "block" after a fixed I/O block
+# the reader and writer no longer have: "frame-above-block" is a frame of
+# more than 256 KB, and a "last block" test puts its bad value in the
+# payload's last element.
+LARGE = [(51, 4, 40, 64), (2, 1, 300, 300)]
 
 
-@pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
+@pytest.mark.parametrize("shape", LARGE, ids=["51-frames", "frame-above-block"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, bool])
 def test_blocked_write_matches_whole_payload_cast(tmp_path, shape, dtype):
     values = RandomSource(11).normal(shape)
@@ -464,7 +468,7 @@ def test_blocked_write_matches_whole_payload_cast(tmp_path, shape, dtype):
     flags = FLAG_MASK if dtype is bool else 0
     if flags:
         data = data[:, :1]
-    path = tmp_path / "blocked.lts"
+    path = tmp_path / "large.lts"
     write_lts(path, data)
     stored = np.asarray(data, dtype=np.float64).astype("<f4")
     assert path.read_bytes() == struct.pack("<4s5I", b"LTS1", *data.shape, flags) + stored.tobytes()
@@ -473,7 +477,7 @@ def test_blocked_write_matches_whole_payload_cast(tmp_path, shape, dtype):
     assert np.array_equal(back, data if flags else stored.astype(np.float64))
 
 
-@pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
+@pytest.mark.parametrize("shape", LARGE, ids=["51-frames", "frame-above-block"])
 @pytest.mark.parametrize("bad", [np.nan, 1e39])
 def test_non_finite_in_last_block_leaves_no_file(tmp_path, shape, bad):
     data = np.zeros(shape)
@@ -484,7 +488,7 @@ def test_non_finite_in_last_block_leaves_no_file(tmp_path, shape, bad):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("shape", BLOCKED, ids=["51-frames", "frame-above-block"])
+@pytest.mark.parametrize("shape", LARGE, ids=["51-frames", "frame-above-block"])
 def test_read_rejects_non_finite_in_last_block(tmp_path, shape):
     path = tmp_path / "traj.lts"
     write_lts(path, np.zeros(shape))
@@ -495,11 +499,11 @@ def test_read_rejects_non_finite_in_last_block(tmp_path, shape):
         read_lts(path)
 
 
-# a 70-frame mask stack at video scale, and two frames of 360 KB each
-MASK_BLOCKED = [(70, 1, 40, 64), (2, 1, 300, 300)]
+# large mask payloads: a 70-frame stack at video scale, and two frames of 360 KB each
+MASK_LARGE = [(70, 1, 40, 64), (2, 1, 300, 300)]
 
 
-@pytest.mark.parametrize("shape", MASK_BLOCKED, ids=["70-frames", "frame-above-block"])
+@pytest.mark.parametrize("shape", MASK_LARGE, ids=["70-frames", "frame-above-block"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
 def test_read_rejects_non_binary_mask_in_last_block(tmp_path, shape, bad):
     path = tmp_path / "masks.lts"

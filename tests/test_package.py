@@ -156,8 +156,7 @@ def test_error_classes_are_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
-    # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError
-    assert defined - raised == {"DegenerateTrackError"}
+    assert defined - raised == set()
 
 
 def public_definitions(path: Path) -> set[str]:
@@ -198,8 +197,7 @@ def test_public_names_have_a_caller():
     the bench, so no public name is kept alive by its tests alone."""
     defined = set().union(*(public_definitions(path) for path in MODULES))
     unreferenced = defined - referenced_names(MODULES + sorted((ROOT / "bench").glob("*.py")))
-    # ROADMAP item 1 (the library edit entry point) raises DegenerateTrackError
-    assert unreferenced == {"DegenerateTrackError"}
+    assert unreferenced == set()
 
 
 def constants_and_privates(path: Path) -> dict[str, int]:

@@ -166,8 +166,10 @@ class TestMovingSquareScene:
         with pytest.raises(ParameterError, match=message):
             moving_square_scene(4, 8, 3, velocity, value=value)
 
-    @pytest.mark.parametrize("velocity", [(1,), None, (1, 0, 5), 3], ids=repr)
+    @pytest.mark.parametrize("velocity", [(1,), None, (1, 0, 5), 3, {1, 0}, {1: 0, 0: 1}, "10"], ids=repr)
     def test_velocity_must_be_a_pair(self, velocity):
+        # a set moved the square in hash order, {1, 0} down the rows, and a
+        # dict or a string was read by its keys or characters
         with pytest.raises(ParameterError, match=r"^velocity must be a \(dx, dy\) pair, got "):
             moving_square_scene(4, 8, 3, velocity)
 
