@@ -125,9 +125,10 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def parse_config(source: str | dict) -> RunConfig:
-    """Parse and validate a run configuration from JSON text or a dict."""
-    if isinstance(source, str):
+def parse_config(source: str | bytes | bytearray | dict) -> RunConfig:
+    """Parse and validate a run configuration from JSON text, as a str or
+    as bytes, or from a dict."""
+    if isinstance(source, (str, bytes, bytearray)):
         try:
             source = json.loads(source, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as e:

@@ -247,16 +247,14 @@ class RandomSource:
 
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = check_level(seed, 0, math.inf, "seed")
-        self.path = tuple(check_level(k, 0, math.inf, "spawn key") for k in _path)
+        self.path = _path
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
-    def child(self, *key: int) -> "RandomSource":
-        """Derive an independent stream keyed by one or more integers >= 0;
-        with no key the path would be the parent's, and so would the stream."""
-        if not key:
-            raise ParameterError("child needs at least one spawn key")
-        return RandomSource(self.seed, self.path + key)
+    def child(self, key: int) -> "RandomSource":
+        """Derive an independent stream keyed by one integer >= 0: its path is
+        the parent's plus key, so child(0).child(3) has the path (0, 3)."""
+        return RandomSource(self.seed, (*self.path, check_level(key, 0, math.inf, "spawn key")))
 
     def normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)

@@ -319,12 +319,12 @@ def ddim_invert(x0: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int
     return LatentSequence._checked(traj)
 
 
-def ddim_sample(x_T: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int | None = None) -> np.ndarray:
-    """Deterministic (eta = 0) reverse sweep down a uniform sub-grid
-    (default: every level).
+def ddim_sample(x_T: np.ndarray, denoiser: Denoiser, s: NoiseSchedule, steps: int) -> np.ndarray:
+    """Deterministic (eta = 0) reverse sweep down the uniform sub-grid of
+    `steps` hops from T to 0.
 
     x_T is checked on entry and every hop's output after it, so a blow-up
     raises NumericError naming the hop instead of returning inf or nan."""
     x, s = check_latent(x_T, "x_T"), check_type(s, NoiseSchedule, "s")
-    grid = step_grid(s.T, steps if steps is not None else s.T)
+    grid = step_grid(s.T, steps)
     return _sweep("ddim_sample", x, grid[::-1].tolist(), denoiser, s)

@@ -35,8 +35,8 @@ class _Oracle:
     """predict_eps(x, t) = (x - sqrt(ab_t) x0*) / sqrt(1 - ab_t), with x0*
     frame `index` of a bank of targets (F, C, H, W).
 
-    for_frame(k) selects frame k; indices past the end clamp to the last
-    target so open-ended generation keeps a defined pull.
+    for_frame(k) selects frame k of the bank; an index past its end is a
+    ParameterError.
     """
 
     def __init__(self, frames: np.ndarray, s: NoiseSchedule, index: int = 0):
@@ -45,8 +45,7 @@ class _Oracle:
         self.x0_star = frames[index]
 
     def for_frame(self, k: int) -> "_Oracle":
-        k = check_level(k, 0, math.inf, "frame index")
-        return _Oracle(self.frames, self.s, min(k, len(self.frames) - 1))
+        return _Oracle(self.frames, self.s, check_level(k, 0, len(self.frames) - 1, "frame index"))
 
     def predict_eps(self, x_t: np.ndarray, t: int) -> np.ndarray:
         # a string or complex latent is a ParameterError, not numpy's cast error

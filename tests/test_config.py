@@ -92,6 +92,17 @@ class TestParse:
         with pytest.raises(ConfigError, match="^duplicate key 'lambda' in a config object$"):
             parse_config('{"sampler": {"lambda": 2.0, "lambda": 0.5}}')
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_json_bytes(self, kind):
+        # json.loads reads bytes, but the root check took them for a non-object
+        assert parse_config(kind(b'{"seed": 1}')) == RunConfig(seed=1)
+        with pytest.raises(ConfigError, match="^duplicate key 'seed' in a config object$"):
+            parse_config(kind(b'{"seed": 1, "seed": 2}'))
+
+    def test_bytes_that_are_not_utf8(self):
+        with pytest.raises(ConfigError, match="^config cannot be parsed: 'utf-8' codec can't decode byte 0xff"):
+            parse_config(b'{"seed": \xff}')
+
     def test_nesting_beyond_the_recursion_limit(self):
         with pytest.raises(ConfigError, match="^config cannot be parsed: maximum recursion depth exceeded"):
             parse_config("[" * 100000)

@@ -208,14 +208,14 @@ class TestRandomSource:
 
     def test_child_streams_deterministic_and_independent(self):
         root = RandomSource(7)
-        c1 = root.child(0, 3).normal((32,))
+        c1 = root.child(0).child(3).normal((32,))
         # children derive from lineage, not parent draw position
         root.normal((100,))
-        c2 = root.child(0, 3).normal((32,))
+        c2 = root.child(0).child(3).normal((32,))
         assert c1.tobytes() == c2.tobytes()
-        other = root.child(0, 4).normal((32,))
+        other = root.child(0).child(4).normal((32,))
         assert not np.array_equal(c1, other)
-        assert repr(root.child(0, 3)) == "RandomSource(seed=7, path=(0, 3))"
+        assert repr(root.child(0).child(3)) == "RandomSource(seed=7, path=(0, 3))"
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ParameterError):
@@ -231,17 +231,12 @@ class TestRandomSource:
         # int(k) made 1.5, True and 1.9 alias child(1), took "1", and let -1
         # reach numpy's own ValueError
         with pytest.raises(ParameterError, match="^spawn key must"):
-            RandomSource(7).child(0, key)
+            RandomSource(7).child(0).child(key)
 
     def test_numpy_integer_spawn_key(self):
         root = RandomSource(7)
         assert root.child(np.int64(1)).path == (1,)
         assert root.child(np.int64(1)).normal((8,)).tobytes() == root.child(1).normal((8,)).tobytes()
-
-    def test_child_needs_a_key(self):
-        # child() with no key returned the parent's own stream
-        with pytest.raises(ParameterError, match="^child needs at least one spawn key$"):
-            RandomSource(5).child()
 
 
 class TestForwardDiffuse:

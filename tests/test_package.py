@@ -18,6 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "latentmix").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+# the package and the bench's program files: a bench test is no caller
+CALLERS = MODULES + sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -194,9 +196,10 @@ def referenced_names(paths: list[Path]) -> set[str]:
 
 def test_public_names_have_a_caller():
     """Every public function, class and method is used by the package or
-    the bench, so no public name is kept alive by its tests alone."""
+    the bench's program files, so no public name is kept alive by its tests
+    alone, the bench's own tests among them."""
     defined = set().union(*(public_definitions(path) for path in MODULES))
-    unreferenced = defined - referenced_names(MODULES + sorted((ROOT / "bench").glob("*.py")))
+    unreferenced = defined - referenced_names(CALLERS)
     assert unreferenced == set()
 
 
@@ -241,9 +244,10 @@ def loaded_names(paths: list[Path]) -> set[str]:
 
 def test_constants_and_private_names_are_read():
     """Every module-level constant and every _-private function, class and
-    method is read by the package or the bench, somewhere other than its own
-    definition, so none is left behind once its last reader goes."""
-    read = loaded_names(MODULES + sorted((ROOT / "bench").glob("*.py")))
+    method is read by the package or the bench's program files, somewhere
+    other than its own definition, so none is left behind once its last
+    reader goes."""
+    read = loaded_names(CALLERS)
     unread = [
         f"{path.name}:{line} {name}"
         for path in MODULES

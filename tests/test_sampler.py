@@ -423,7 +423,7 @@ class TestInversion:
     def test_sample_helper(self, desk_schedule):
         x0_star = RandomSource(19).normal(DESK_SHAPE)
         den = oracle_denoiser(OracleSpec(frames=x0_star[None]), desk_schedule)
-        out = ddim_sample(RandomSource(20).normal(DESK_SHAPE), den, desk_schedule)
+        out = ddim_sample(RandomSource(20).normal(DESK_SHAPE), den, desk_schedule, desk_schedule.T)
         assert np.max(np.abs(out - x0_star)) < 1e-5
 
 
@@ -501,7 +501,8 @@ LEVEL_CALLS = {
     "momentum_step-t": lambda s, t, den: vanilla_step(np.zeros(DESK_SHAPE), t, den, s),
     "momentum_step-t_prev": lambda s, t, den: vanilla_step(np.zeros(DESK_SHAPE), 10, den, s, t_prev=t),
     "predict_eps": _oracle_eps,
-    "for_frame": lambda s, t, den: oracle_denoiser(OracleSpec(frames=np.zeros((2, *DESK_SHAPE))), s).for_frame(t),
+    # a bank of six frames, so that level 5 is one of them
+    "for_frame": lambda s, t, den: oracle_denoiser(OracleSpec(frames=np.zeros((6, *DESK_SHAPE))), s).for_frame(t),
     "step_grid": lambda s, t, den: step_grid(s.T, t),
     "ddim_sample": lambda s, t, den: ddim_sample(np.zeros(DESK_SHAPE), den, s, steps=t),
     "ddim_invert": lambda s, t, den: ddim_invert(np.zeros(DESK_SHAPE), den, s, t),
@@ -920,6 +921,21 @@ class TestFiniteness:
             with pytest.raises(NumericError, match=f"^ddim_invert produced non-finite values in the hop {hop}$"):
                 ddim_invert(x0, Echo(), desk_schedule, steps=steps)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=pytest.fail.Exception,
+        reason="ROADMAP item 1B: momentum_step does not check its own output, and a check on every step cost +9.5% on desk",
+    )
+    def test_momentum_step_overflow_names_its_hop(self, desk_schedule):
+        # with a zero eps the hop scales x by sqrt(ab_63 / ab_64) > 1, so a
+        # finite 1.6e308 overflows; today the step returns it as inf, and
+        # only the next step's entry check raises, naming no hop
+        x_t = np.full(DESK_SHAPE, 1.6e308)
+        state = MomentumState.fresh(DESK_SHAPE, T=desk_schedule.T)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericError, match="^momentum_step produced non-finite values in the hop 64 -> 63$"):
+                momentum_step(x_t, 64, ZeroDenoiser(), desk_schedule, state, t_prev=63)
+
 
 # sha256 of golden_run at the desk scale, recorded with numpy GOLDEN_NUMPY
 # and its bundled OpenBLAS.  RandomSource's normal draws are stable only
@@ -931,7 +947,7 @@ GOLDEN_DIGEST = "57e4af4ffd7a2a931c31c5e966f632296f93af671461c61d985dc85ab4c07cf
 
 def golden_run(s):
     """A seeded run through every public sweep: a momentum_step trajectory
-    (eta 0.5, kappa0 2), ddim_sample and ddim_invert (16 steps).
+    (eta 0.5, kappa0 2), ddim_sample (every level) and ddim_invert (16 steps).
     Returns the sha256 of every latent, estimate and velocity it emits, and
     its three final latents stacked (3, C, H, W): the last momentum latent,
     the ddim_sample output and the ddim_invert terminal latent."""
@@ -945,7 +961,7 @@ def golden_run(s):
         for a in (out.x_prev, out.x0_hat, state.v):
             h.update(a.tobytes())
         x = out.x_prev
-    sampled = ddim_sample(rng.normal(DESK_SHAPE), den, s)
+    sampled = ddim_sample(rng.normal(DESK_SHAPE), den, s, s.T)
     h.update(sampled.tobytes())
     inverted = ddim_invert(x, den, s, 16).data
     h.update(inverted.tobytes())

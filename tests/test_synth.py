@@ -26,8 +26,10 @@ class TestOracle:
             ab = desk_schedule.alpha_bar[t]
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
             assert np.max(np.abs(den.predict_eps(x_t, t) - eps)) < 1e-9
-        # a single target is a bank of one, so every frame index selects it
-        assert np.array_equal(den.for_frame(7).x0_star, x0)
+        # a single target is a bank of one: frame 0 selects it, and no other
+        assert np.array_equal(den.for_frame(0).x0_star, x0)
+        with pytest.raises(ParameterError, match=r"^frame index must lie in \[0, 0\], got 7$"):
+            den.for_frame(7)
 
     def test_predict_x0_is_exact(self, desk_schedule):
         x0 = RandomSource(2).normal(DESK_SHAPE)
@@ -102,8 +104,10 @@ class TestOracle:
             ab = desk_schedule.alpha_bar[t]
             expect = (x - np.sqrt(ab) * frames[k]) / np.sqrt(1.0 - ab)
             assert np.max(np.abs(got - expect)) < 1e-12
-        # indices past the end clamp to the final target
-        assert np.array_equal(den.for_frame(99).x0_star, frames[2])
+        # an index past the end of the bank is no frame of it
+        for k in (3, 99):
+            with pytest.raises(ParameterError, match=rf"^frame index must lie in \[0, 2\], got {k}$"):
+                den.for_frame(k)
         # bare predict_eps follows frame 0
         assert np.array_equal(den.predict_eps(x, t), den.for_frame(0).predict_eps(x, t))
         with pytest.raises(ParameterError):
